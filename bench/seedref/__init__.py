@@ -1,0 +1,55 @@
+"""voicesms: carry recorded voice across SMS-sized text messages.
+
+Pipeline: WAV -> codec bytes -> control-safe code points -> indexed
+segments -> (simulated lossy channel) -> reassembled stream -> WAV.
+"""
+
+from .audio import (
+    DEFAULT_DECIMATION,
+    AudioClip,
+    CodecKind,
+    codec_decode,
+    codec_encode,
+    read_wav,
+    ulaw_decode_sample,
+    ulaw_encode_sample,
+    write_wav,
+)
+from .channel import ChannelConfig, ChannelEvent, Outcome, SplitMix64, render_channel_log, transmit
+from .errors import (
+    BadIndex,
+    CapacityTooSmall,
+    DuplicateMismatch,
+    IllegalPayloadPoint,
+    InvalidCodePoint,
+    LengthMismatch,
+    MalformedContainer,
+    MissingSegments,
+    SegmentOverflow,
+    TooShort,
+    UnsupportedCombination,
+    UnsupportedFormat,
+    VoiceSmsError,
+)
+from .metrics import CSV_HEADER, TransmissionReport, analyze, compare, render_csv, render_table
+from .payload import bytes_to_codepoints, codepoints_to_bytes
+from .reassembly import (
+    ReassemblyPolicy,
+    ReassemblyReport,
+    parse_segment,
+    parse_segments_file,
+    reassemble,
+)
+from .segmentation import (
+    DEFAULT_CAPACITY,
+    CostModel,
+    Segment,
+    SegmentationConfig,
+    connected_group_count,
+    point_cost,
+    render_segment,
+    render_segments_file,
+    segment,
+)
+
+__version__ = "0.1.0"

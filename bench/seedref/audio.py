@@ -1,0 +1,242 @@
+"""Audio containers and codecs feeding the message payload encoder.
+
+Three codecs produce the byte stream that gets textualised and segmented:
+
+* ``PCM`` -- raw little-endian sample bytes, lossless both ways.
+* ``ULAW`` -- G.711 u-law companding, one octet per sample, error bounded
+  by the quantizer step of the sample's segment.
+* ``TOY_COMPRESSED`` -- keep every D-th sample then u-law it; a small,
+  fully documented lossy codec used to demonstrate how compression shrinks
+  the message count. Decode repeats each sample D times (zero-order hold).
+
+The u-law code operates on the 14-bit domain (-8192..8191). 16-bit samples
+are arithmetic-shifted right by 2 on the way in and left by 2 on the way
+out. Note the classic u-law quirk: the negative-zero octet 0x7F decodes to
+0 and therefore re-encodes as the canonical zero 0xFF; every other octet
+survives a decode/encode round trip unchanged.
+"""
+
+import enum
+import struct
+from dataclasses import dataclass
+
+from .errors import (
+    LengthMismatch,
+    MalformedContainer,
+    UnsupportedCombination,
+    UnsupportedFormat,
+)
+
+DEFAULT_DECIMATION = 4
+
+
+class CodecKind(enum.Enum):
+    PCM = "pcm"
+    ULAW = "ulaw"
+    TOY_COMPRESSED = "toy"
+
+
+@dataclass(frozen=True)
+class AudioClip:
+    """Immutable mono clip; samples are signed ints within the bit depth."""
+
+    sample_rate_hz: int
+    bit_depth: int
+    samples: tuple[int, ...]
+    channels: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", tuple(self.samples))
+        if self.sample_rate_hz <= 0:
+            raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if self.bit_depth not in (8, 16):
+            raise ValueError(f"bit depth must be 8 or 16, got {self.bit_depth}")
+        if self.channels != 1:
+            raise ValueError(f"only mono clips are supported, got {self.channels} channels")
+        if self.samples:
+            lo, hi = -(1 << (self.bit_depth - 1)), (1 << (self.bit_depth - 1)) - 1
+            if min(self.samples) < lo or max(self.samples) > hi:
+                bad = next(s for s in self.samples if not lo <= s <= hi)
+                raise ValueError(f"sample {bad} outside {self.bit_depth}-bit range {lo}..{hi}")
+
+    def duration_seconds(self) -> float:
+        return len(self.samples) / self.sample_rate_hz
+
+
+# --- u-law companding (G.711, 14-bit domain) --------------------------------
+
+_ULAW_BIAS = 33
+_ULAW_CLIP = 8158  # largest magnitude representable once the bias is added
+
+
+def ulaw_encode_sample(linear: int) -> int:
+    """Compress one 14-bit sample (-8192..8191) into a u-law octet.
+
+    Magnitudes beyond the codec range are clipped, as companders
+    conventionally do.
+    """
+    if linear >= 0:
+        magnitude, mask = linear, 0xFF
+    else:
+        magnitude, mask = -linear, 0x7F
+    if magnitude > _ULAW_CLIP:
+        magnitude = _ULAW_CLIP
+    biased = magnitude + _ULAW_BIAS
+    # biased is 33..8191, so bit_length is 6..13 and the segment is 0..7
+    seg = biased.bit_length() - 6
+    return ((seg << 4) | ((biased >> (seg + 1)) & 0x0F)) ^ mask
+
+
+def ulaw_decode_sample(octet: int) -> int:
+    """Expand a u-law octet to its 14-bit quantizer value (exact inverse
+    of the quantization cell midpoint)."""
+    u = ~octet & 0xFF
+    seg = (u >> 4) & 0x07
+    mantissa = u & 0x0F
+    magnitude = ((2 * mantissa + _ULAW_BIAS) << seg) - _ULAW_BIAS
+    return -magnitude if u & 0x80 else magnitude
+
+
+# --- raw sample <-> byte packing ---------------------------------------------
+
+def _samples_to_bytes(samples, bit_depth: int) -> bytes:
+    if bit_depth == 16:
+        return struct.pack(f"<{len(samples)}h", *samples)
+    # 8-bit WAV convention: unsigned with a 128 offset
+    return bytes(s + 128 for s in samples)
+
+
+def _samples_from_bytes(data: bytes, bit_depth: int) -> list[int]:
+    if bit_depth == 16:
+        if len(data) % 2:
+            raise LengthMismatch(f"odd byte count {len(data)} for 16-bit samples")
+        return list(struct.unpack(f"<{len(data) // 2}h", data))
+    return [b - 128 for b in data]
+
+
+# --- RIFF/WAVE container ------------------------------------------------------
+
+def read_wav(container: bytes) -> AudioClip:
+    """Decode a RIFF/WAVE container holding linear mono 8/16-bit PCM.
+
+    Unknown chunks are skipped; ``fmt `` and ``data`` must each appear
+    exactly once. Samples are preserved bit-exactly.
+    """
+    if len(container) < 12:
+        raise MalformedContainer(f"container of {len(container)} bytes is too short for a RIFF header")
+    magic, riff_size, form = struct.unpack_from("<4sI4s", container, 0)
+    if magic != b"RIFF":
+        raise MalformedContainer(f"bad magic {magic!r}, expected b'RIFF'")
+    if form != b"WAVE":
+        raise MalformedContainer(f"bad form type {form!r}, expected b'WAVE'")
+    if riff_size != len(container) - 8:
+        raise MalformedContainer(
+            f"RIFF size {riff_size} does not match container payload {len(container) - 8}")
+
+    fmt_body = None
+    data_body = None
+    offset = 12
+    while offset < len(container):
+        if offset + 8 > len(container):
+            raise MalformedContainer("truncated chunk header")
+        chunk_id, chunk_size = struct.unpack_from("<4sI", container, offset)
+        body = container[offset + 8:offset + 8 + chunk_size]
+        if len(body) < chunk_size:
+            raise MalformedContainer(f"chunk {chunk_id!r} overruns the container")
+        if chunk_id == b"fmt ":
+            if fmt_body is not None:
+                raise MalformedContainer("duplicate fmt chunk")
+            fmt_body = body
+        elif chunk_id == b"data":
+            if data_body is not None:
+                raise MalformedContainer("duplicate data chunk")
+            data_body = body
+        offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+
+    if fmt_body is None:
+        raise MalformedContainer("missing fmt chunk")
+    if data_body is None:
+        raise MalformedContainer("missing data chunk")
+    if len(fmt_body) < 16:
+        raise MalformedContainer(f"fmt chunk of {len(fmt_body)} bytes is too short")
+
+    audio_format, channels, rate, byte_rate, block_align, bits = struct.unpack_from(
+        "<HHIIHH", fmt_body, 0)
+    if audio_format != 1:
+        raise UnsupportedFormat(f"audio format {audio_format} is not linear PCM")
+    if channels != 1:
+        raise UnsupportedFormat(f"{channels} channels; only mono is supported")
+    if bits not in (8, 16):
+        raise UnsupportedFormat(f"{bits}-bit samples; only 8 or 16 bit are supported")
+    if rate == 0:
+        raise MalformedContainer("zero sample rate")
+    expected_align = bits // 8
+    if block_align != expected_align:
+        raise MalformedContainer(f"block align {block_align} inconsistent with {bits}-bit mono")
+    if byte_rate != rate * expected_align:
+        raise MalformedContainer(f"byte rate {byte_rate} inconsistent with {rate} Hz {bits}-bit mono")
+    if len(data_body) % expected_align:
+        raise MalformedContainer(f"data chunk of {len(data_body)} bytes is not whole {bits}-bit samples")
+
+    return AudioClip(rate, bits, tuple(_samples_from_bytes(data_body, bits)))
+
+
+def write_wav(clip: AudioClip) -> bytes:
+    """Emit the minimal canonical container: 44-byte header, then samples,
+    then one pad byte when the data chunk is odd-sized."""
+    data = _samples_to_bytes(clip.samples, clip.bit_depth)
+    pad = b"\x00" if len(data) % 2 else b""
+    block_align = clip.bit_depth // 8
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(data) + len(pad), b"WAVE",
+        b"fmt ", 16, 1, 1, clip.sample_rate_hz, clip.sample_rate_hz * block_align,
+        block_align, clip.bit_depth,
+        b"data", len(data),
+    )
+    return header + data + pad
+
+
+# --- codec front door ----------------------------------------------------------
+
+def codec_encode(clip: AudioClip, kind: CodecKind,
+                 decimation: int = DEFAULT_DECIMATION) -> bytes:
+    """Turn a clip into the byte stream that will ride inside messages.
+
+    PCM emits the same bytes a WAV data chunk would hold. ULAW and
+    TOY_COMPRESSED require a 16-bit clip.
+    """
+    if kind is CodecKind.PCM:
+        return _samples_to_bytes(clip.samples, clip.bit_depth)
+    if clip.bit_depth != 16:
+        raise UnsupportedCombination(f"{kind.value} requires a 16-bit clip, got {clip.bit_depth}-bit")
+    if kind is CodecKind.ULAW:
+        return bytes(ulaw_encode_sample(s >> 2) for s in clip.samples)
+    if kind is CodecKind.TOY_COMPRESSED:
+        if decimation < 1:
+            raise ValueError(f"decimation must be >= 1, got {decimation}")
+        kept = clip.samples[::decimation]
+        return bytes(ulaw_encode_sample(s >> 2) for s in kept)
+    raise ValueError(f"unknown codec {kind!r}")
+
+
+def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,
+                 bit_depth: int = 16,
+                 decimation: int = DEFAULT_DECIMATION) -> AudioClip:
+    """Rebuild a clip from a codec byte stream.
+
+    ``bit_depth`` matters only for PCM, where the stream alone cannot tell
+    8-bit from 16-bit data. ULAW and TOY_COMPRESSED always reconstruct a
+    16-bit clip; TOY_COMPRESSED holds each decoded sample for ``decimation``
+    ticks.
+    """
+    if kind is CodecKind.PCM:
+        return AudioClip(sample_rate_hz, bit_depth, tuple(_samples_from_bytes(stream, bit_depth)))
+    if kind is CodecKind.ULAW:
+        return AudioClip(sample_rate_hz, 16, tuple(ulaw_decode_sample(b) << 2 for b in stream))
+    if kind is CodecKind.TOY_COMPRESSED:
+        if decimation < 1:
+            raise ValueError(f"decimation must be >= 1, got {decimation}")
+        held = [ulaw_decode_sample(b) << 2 for b in stream]
+        return AudioClip(sample_rate_hz, 16, tuple(s for s in held for _ in range(decimation)))
+    raise ValueError(f"unknown codec {kind!r}")

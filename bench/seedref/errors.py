@@ -1,0 +1,72 @@
+"""Exception hierarchy shared by every stage of the pipeline.
+
+The CLI maps any :class:`VoiceSmsError` to a one-line diagnostic naming the
+concrete subclass, so subclass names double as user-facing error cases.
+"""
+
+
+class VoiceSmsError(Exception):
+    """Base class for all errors raised deliberately by this package."""
+
+
+class MalformedContainer(VoiceSmsError):
+    """Byte sequence violates the RIFF/WAVE container structure."""
+
+
+class UnsupportedFormat(VoiceSmsError):
+    """Container parses but is not linear mono 8- or 16-bit PCM."""
+
+
+class UnsupportedCombination(VoiceSmsError):
+    """Codec cannot be applied to the clip (e.g. u-law on an 8-bit clip)."""
+
+
+class LengthMismatch(VoiceSmsError):
+    """Encoded byte stream length is inconsistent with the codec."""
+
+
+class InvalidCodePoint(VoiceSmsError):
+    """Code point lies outside the transmissible bands 32..255 and 256..287."""
+
+
+class CapacityTooSmall(VoiceSmsError):
+    """A single code point costs more than one message payload can hold."""
+
+
+class SegmentOverflow(VoiceSmsError):
+    """Stream needs more parts than the 000-999 index space provides."""
+
+    def __init__(self, message: str, *, segments_packed: int | None = None,
+                 points_packed: int | None = None):
+        super().__init__(message)
+        self.segments_packed = segments_packed
+        self.points_packed = points_packed
+
+
+class TooShort(VoiceSmsError):
+    """Received text is shorter than the 3-character index prefix."""
+
+
+class BadIndex(VoiceSmsError):
+    """Index prefix is not three ASCII decimal digits."""
+
+
+class IllegalPayloadPoint(VoiceSmsError):
+    """Received payload contains a character outside the legal bands."""
+
+
+class MissingSegments(VoiceSmsError):
+    """Strict reassembly found gaps in the received index sequence."""
+
+    def __init__(self, missing):
+        missing = tuple(sorted(missing))
+        super().__init__(f"missing segment indices: {list(missing)}")
+        self.missing = missing
+
+
+class DuplicateMismatch(VoiceSmsError):
+    """Two received segments share an index but carry different payloads."""
+
+    def __init__(self, index: int):
+        super().__init__(f"segments with index {index} carry different payloads")
+        self.index = index

@@ -45,7 +45,13 @@ def _write_atomic(path: str, data: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".voicesms-")
     try:
         with os.fdopen(fd, "wb") as handle:
+            # mkstemp creates 0600; give the output the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -257,12 +263,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (VoiceSmsError, OSError, UnicodeDecodeError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        print(f"error: UnicodeDecodeError: {exc}", file=sys.stderr)
         return 1
 
 

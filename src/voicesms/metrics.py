@@ -10,11 +10,8 @@ caller-supplied metadata only -- it is echoed into reports, never computed.
 from dataclasses import dataclass
 
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_encode
-from .errors import SegmentOverflow
 from .payload import bytes_to_codepoints
 from .segmentation import CostModel, SegmentationConfig, connected_group_count, segment
-
-CSV_HEADER = "codec,chars,messages,connected,capacity,cost_model,group_size"
 
 
 @dataclass(frozen=True)
@@ -30,6 +27,15 @@ class TransmissionReport:
     word_count: int | None = None
 
 
+CSV_HEADER = "codec,chars,messages,connected,capacity,cost_model,group_size"
+
+
+def _row(r: TransmissionReport) -> list[str]:
+    """The cells of one report, in ``CSV_HEADER`` order."""
+    return [r.codec.value, str(r.char_count), str(r.message_count), str(r.connected_count),
+            str(r.capacity), r.cost_model.value, str(r.group_size)]
+
+
 def analyze(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
             decimation: int = DEFAULT_DECIMATION,
             word_count: int | None = None) -> TransmissionReport:
@@ -41,11 +47,7 @@ def analyze(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
     """
     data = codec_encode(clip, kind, decimation)
     points = bytes_to_codepoints(data)
-    try:
-        segments = segment(points, cfg)
-    except SegmentOverflow as exc:
-        exc.char_count = len(data)
-        raise
+    segments = segment(points, cfg)
     message_count = len(segments)
     return TransmissionReport(
         codec=kind,
@@ -71,23 +73,14 @@ def compare(clip: AudioClip, kinds, cfg: SegmentationConfig,
 
 
 def render_csv(reports) -> str:
-    lines = [CSV_HEADER]
-    lines += [
-        f"{r.codec.value},{r.char_count},{r.message_count},{r.connected_count},"
-        f"{r.capacity},{r.cost_model.value},{r.group_size}"
-        for r in reports
-    ]
+    lines = [CSV_HEADER] + [",".join(_row(r)) for r in reports]
     return "\n".join(lines) + "\n"
 
 
 def render_table(reports) -> str:
     """Aligned text table over the same columns as the CSV output."""
     headers = CSV_HEADER.split(",")
-    rows = [
-        [r.codec.value, str(r.char_count), str(r.message_count), str(r.connected_count),
-         str(r.capacity), r.cost_model.value, str(r.group_size)]
-        for r in reports
-    ]
+    rows = [_row(r) for r in reports]
     widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
               for i, h in enumerate(headers)]
     def fmt(cells):

@@ -1,4 +1,4 @@
-"""Byte stream <-> SMS-safe code points.
+"""Byte stream <-> SMS-safe payload text, one character per byte.
 
 Character values 0..31 are reserved by the messaging layer (NUL, CR, LF and
 friends) and cannot travel inside a message body. Each byte in that range is
@@ -7,6 +7,9 @@ The legal on-the-wire alphabet is therefore the contiguous range 32..287,
 and the mapping is a bijection on all 256 byte values.
 """
 
+import codecs
+import re
+
 from .errors import InvalidCodePoint
 
 RESERVED_CEILING = 31  # highest byte value the transport refuses
@@ -14,23 +17,32 @@ SHIFT = 256
 MIN_POINT = 32
 MAX_POINT = 287
 
-_SHIFTED = tuple(b + SHIFT if b <= RESERVED_CEILING else b for b in range(256))
+# ALPHABET[b] is the character that carries byte b.
+ALPHABET = "".join(chr(b + SHIFT if b <= RESERVED_CEILING else b) for b in range(256))
+_TO_BYTES = codecs.charmap_build(ALPHABET)
+_ILLEGAL = re.compile(f"[^{chr(MIN_POINT)}-{chr(MAX_POINT)}]")
 
 
-def bytes_to_codepoints(data: bytes) -> list[int]:
-    """Map each byte to its transmissible code point (length-preserving)."""
-    table = _SHIFTED
-    return [table[b] for b in data]
+def check_points(text: str, error: type[Exception] = InvalidCodePoint) -> None:
+    """Raise ``error`` naming the first character of ``text`` outside 32..287."""
+    match = _ILLEGAL.search(text)
+    if match:
+        raise error(f"code point {ord(match.group())} outside the legal range {MIN_POINT}..{MAX_POINT}")
 
 
-def codepoints_to_bytes(points) -> bytes:
+def bytes_to_codepoints(data: bytes) -> str:
+    """Map each byte to its transmissible character (length-preserving)."""
+    return codecs.charmap_decode(data, "strict", ALPHABET)[0]
+
+
+def codepoints_to_bytes(text: str) -> bytes:
     """Invert :func:`bytes_to_codepoints`.
 
-    Rejects any point outside 32..287 rather than repairing it; an illegal
-    point means the channel corrupted the text.
+    Rejects any character outside 32..287 rather than repairing it; an
+    illegal point means the channel corrupted the text.
     """
-    points = list(points)
-    if points and not MIN_POINT <= min(points) <= max(points) <= MAX_POINT:
-        bad = next(p for p in points if not MIN_POINT <= p <= MAX_POINT)
-        raise InvalidCodePoint(f"code point {bad} outside the legal range {MIN_POINT}..{MAX_POINT}")
-    return bytes(p - SHIFT if p >= SHIFT else p for p in points)
+    try:
+        return codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
+    except UnicodeEncodeError as exc:
+        raise InvalidCodePoint(f"code point {ord(text[exc.start])} outside the legal range "
+                               f"{MIN_POINT}..{MAX_POINT}") from None

@@ -1,5 +1,5 @@
 """Receiver side: parse message texts back into segments and rebuild the
-code-point stream.
+payload text.
 
 Two policies: STRICT demands the full index run 0..max with no gaps; LOOSE
 plays whatever arrived, in index order, skipping holes -- the degraded
@@ -19,7 +19,7 @@ from .errors import (
     TooShort,
     VoiceSmsError,
 )
-from .payload import MAX_POINT, MIN_POINT
+from .payload import check_points
 from .segmentation import INDEX_DIGITS, Segment
 
 
@@ -45,11 +45,9 @@ def parse_segment(sms_text: str) -> Segment:
     # other Unicode digits
     if not (prefix.isascii() and prefix.isdigit()):
         raise BadIndex(f"index prefix {prefix!r} is not three decimal digits")
-    payload = [ord(c) for c in sms_text[INDEX_DIGITS:]]
-    if payload and not MIN_POINT <= min(payload) <= max(payload) <= MAX_POINT:
-        bad = next(p for p in payload if not MIN_POINT <= p <= MAX_POINT)
-        raise IllegalPayloadPoint(f"payload contains point {bad} outside {MIN_POINT}..{MAX_POINT}")
-    return Segment(int(prefix), tuple(payload))
+    payload = sms_text[INDEX_DIGITS:]
+    check_points(payload, IllegalPayloadPoint)
+    return Segment(int(prefix), payload)
 
 
 def parse_segments_file(text: str) -> list[Segment]:
@@ -71,7 +69,7 @@ def parse_segments_file(text: str) -> list[Segment]:
     return segments
 
 
-def reassemble(segments, policy: ReassemblyPolicy) -> tuple[list[int], ReassemblyReport]:
+def reassemble(segments, policy: ReassemblyPolicy) -> tuple[str, ReassemblyReport]:
     """Order, deduplicate, and concatenate received segments.
 
     Duplicates keep the first arrival; a repeated index with a different
@@ -94,6 +92,6 @@ def reassemble(segments, policy: ReassemblyPolicy) -> tuple[list[int], Reassembl
     if policy is ReassemblyPolicy.STRICT and missing:
         raise MissingSegments(missing)
 
-    stream = [p for i in received for p in first[i].payload]
+    stream = "".join(first[i].payload for i in received)
     report = ReassemblyReport(tuple(received), duplicates, missing)
     return stream, report

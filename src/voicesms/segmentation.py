@@ -1,4 +1,4 @@
-"""Split a code-point stream into indexed SMS segments.
+"""Split payload text into indexed SMS segments.
 
 Each segment renders as three zero-padded decimal digits (the index,
 000..999) followed by its payload characters, so a 160-character message
@@ -17,12 +17,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import CapacityTooSmall, InvalidCodePoint, SegmentOverflow
-from .payload import MAX_POINT, MIN_POINT, SHIFT
+from .errors import CapacityTooSmall, SegmentOverflow
+from .payload import SHIFT, check_points
 
 MAX_INDEX = 999
 INDEX_DIGITS = 3
 DEFAULT_CAPACITY = 157  # 160-character SMS minus the 3-digit index
+_WIDE_FLOOR = chr(SHIFT)  # first character that costs 2 under WIDE
 
 
 class CostModel(enum.Enum):
@@ -46,32 +47,24 @@ class SegmentationConfig:
 @dataclass(frozen=True)
 class Segment:
     index: int
-    payload: tuple[int, ...]
+    payload: str
 
     def __post_init__(self):
-        object.__setattr__(self, "payload", tuple(self.payload))
         if not 0 <= self.index <= MAX_INDEX:
             raise ValueError(f"segment index {self.index} outside 0..{MAX_INDEX}")
 
 
-def point_cost(point: int, model: CostModel) -> int:
-    return 2 if model is CostModel.WIDE and point >= SHIFT else 1
+def point_cost(point: str, model: CostModel) -> int:
+    return 2 if model is CostModel.WIDE and point >= _WIDE_FLOOR else 1
 
 
-def _check_stream(stream) -> None:
-    if stream and not MIN_POINT <= min(stream) <= max(stream) <= MAX_POINT:
-        bad = next(p for p in stream if not MIN_POINT <= p <= MAX_POINT)
-        raise InvalidCodePoint(f"code point {bad} outside the legal range {MIN_POINT}..{MAX_POINT}")
-
-
-def segment(stream, cfg: SegmentationConfig) -> list[Segment]:
+def segment(stream: str, cfg: SegmentationConfig) -> list[Segment]:
     """Greedily pack ``stream`` into consecutively indexed segments.
 
     An empty stream yields an empty list: an index with no payload carries
     no information, so nothing is sent.
     """
-    stream = list(stream)
-    _check_stream(stream)
+    check_points(stream)
     n = len(stream)
     if n == 0:
         return []
@@ -82,32 +75,32 @@ def segment(stream, cfg: SegmentationConfig) -> list[Segment]:
         if count > MAX_INDEX + 1:
             raise SegmentOverflow(
                 f"stream of {n} points needs {count} segments; the index space holds {MAX_INDEX + 1}",
-                segments_packed=MAX_INDEX + 1, points_packed=(MAX_INDEX + 1) * cap)
-        return [Segment(i, tuple(stream[i * cap:(i + 1) * cap])) for i in range(count)]
+                segments_packed=MAX_INDEX + 1, points_packed=(MAX_INDEX + 1) * cap, char_count=n)
+        return [Segment(i, stream[i * cap:(i + 1) * cap]) for i in range(count)]
 
     # WIDE: prefix sums of per-point costs, then binary-search each cut
-    prefix = list(accumulate(2 if p >= SHIFT else 1 for p in stream))
+    prefix = list(accumulate(2 if ch >= _WIDE_FLOOR else 1 for ch in stream))
     segments: list[Segment] = []
     start = 0
     while start < n:
         if len(segments) > MAX_INDEX:
             raise SegmentOverflow(
                 f"stream of {n} points exceeds the {MAX_INDEX + 1}-segment index space",
-                segments_packed=MAX_INDEX + 1, points_packed=start)
+                segments_packed=MAX_INDEX + 1, points_packed=start, char_count=n)
         consumed = prefix[start - 1] if start else 0
         end = bisect_right(prefix, consumed + cap, lo=start)
         if end == start:
             raise CapacityTooSmall(
-                f"point {stream[start]} costs {point_cost(stream[start], cfg.cost_model)} "
+                f"point {ord(stream[start])} costs {point_cost(stream[start], cfg.cost_model)} "
                 f"under {cfg.cost_model.value}; capacity {cap} cannot hold it")
-        segments.append(Segment(len(segments), tuple(stream[start:end])))
+        segments.append(Segment(len(segments), stream[start:end]))
         start = end
     return segments
 
 
 def render_segment(seg: Segment) -> str:
     """Render one segment as transmittable text: 3 index digits + payload."""
-    return f"{seg.index:0{INDEX_DIGITS}d}" + "".join(map(chr, seg.payload))
+    return f"{seg.index:0{INDEX_DIGITS}d}{seg.payload}"
 
 
 def render_segments_file(segments) -> str:

@@ -59,3 +59,8 @@ def payload_points():
         st.integers(min_value=32, max_value=255),
         st.integers(min_value=256, max_value=287),
     )
+
+
+def payload_text(max_size=400):
+    """Any legal payload string, one character per point from payload_points."""
+    return st.lists(payload_points(), max_size=max_size).map(lambda points: "".join(map(chr, points)))

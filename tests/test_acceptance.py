@@ -55,7 +55,7 @@ def best_time(fn, repeats=3):
 
 def random_points(rng, n):
     raw = rng.randbytes(n)
-    return [POINT_OF[b] for b in raw], raw
+    return "".join([POINT_OF[b] for b in raw]), raw
 
 
 def test_c01_payload_shift_bijection_under_1ms():
@@ -68,11 +68,11 @@ def test_c01_payload_shift_bijection_under_1ms():
 
     points = round_trip()
     assert len(set(points)) == 256
-    assert min(points) == 32 and max(points) == 287
-    assert all(32 <= p <= 287 for p in points)
-    assert not any(p < 32 for p in points)
-    assert points[:32] == list(range(256, 288))
-    assert points[32:] == list(range(32, 256))
+    assert min(points) == chr(32) and max(points) == chr(287)
+    assert all(32 <= ord(p) <= 287 for p in points)
+    assert not any(ord(p) < 32 for p in points)
+    assert points[:32] == "".join(map(chr, range(256, 288)))
+    assert points[32:] == "".join(map(chr, range(32, 256)))
 
     elapsed = best_time(round_trip, repeats=5)
     assert elapsed < 0.001, f"256-value round trip took {elapsed * 1e3:.3f} ms"
@@ -175,7 +175,7 @@ def test_c05_loose_reassembly_matches_oracle_under_10s():
         for text in delivered:
             first.setdefault(int(text[:3]), text[3:])
         received = sorted(first)
-        oracle_stream = [ord(c) for i in received for c in first[i]]
+        oracle_stream = "".join(first[i] for i in received)
         oracle_missing = [i for i in range(received[-1] if received else 0) if i not in first]
         oracle_duplicates = len(delivered) - len(first)
 
@@ -231,8 +231,8 @@ def test_c07_codec_ordering_for_second_long_clips():
 def test_c08_index_space_boundary():
     cfg = SegmentationConfig()  # capacity 157
     with pytest.raises(SegmentOverflow):
-        segment([65] * 157_001, cfg)
-    segments = segment([65] * 157_000, cfg)
+        segment("A" * 157_001, cfg)
+    segments = segment("A" * 157_000, cfg)
     assert len(segments) == 1000
     assert segments[-1].index == 999
     assert sum(len(s.payload) for s in segments) == 157_000

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from support import make_clip
@@ -281,3 +284,18 @@ def test_no_temp_droppings_after_failure(tmp_path, capsys):
     src.write_bytes(b"not a wav at all")
     run(capsys, "encode", "--in", str(src), "--out", str(tmp_path / "o.txt"))
     assert [p.name for p in tmp_path.iterdir()] == ["broken.wav"]
+
+
+def test_outputs_get_normal_permissions(wav_path, tmp_path, capsys):
+    # Outputs get the mode open() would give them, not mkstemp's 0600.
+    outputs = [tmp_path / name for name in ("segs.txt", "got.txt", "log.txt", "o.wav", "rt.wav")]
+    segs, got, log, wav, rt = map(str, outputs)
+    old = os.umask(0o022)
+    try:
+        assert run(capsys, "encode", "--in", wav_path, "--out", segs)[0] == 0
+        assert run(capsys, "simulate", "--in", segs, "--out", got, "--log", log)[0] == 0
+        assert run(capsys, "decode", "--in", got, "--out", wav)[0] == 0
+        assert run(capsys, "roundtrip", "--in", wav_path, "--out", rt)[0] == 0
+    finally:
+        os.umask(old)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in outputs] == [0o644] * len(outputs)

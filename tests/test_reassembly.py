@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import payload_points
+from support import payload_text
 from voicesms import (
     BadIndex,
     DuplicateMismatch,
@@ -23,7 +23,7 @@ from voicesms import (
 segments_strategy = st.builds(
     Segment,
     index=st.integers(min_value=0, max_value=999),
-    payload=st.lists(payload_points(), max_size=50).map(tuple),
+    payload=payload_text(max_size=50),
 )
 
 
@@ -31,13 +31,13 @@ class TestParseSegment:
     def test_basic(self):
         seg = parse_segment("000Hi")
         assert seg.index == 0
-        assert seg.payload == (72, 105)
+        assert seg.payload == "Hi"
 
     def test_empty_payload(self):
-        assert parse_segment("042") == Segment(42, ())
+        assert parse_segment("042") == Segment(42, "")
 
     def test_shifted_point(self):
-        assert parse_segment("007" + chr(256)).payload == (256,)
+        assert parse_segment("007" + chr(256)).payload == chr(256)
 
     @pytest.mark.parametrize("text", ["", "0", "99"])
     def test_too_short(self, text):
@@ -67,7 +67,7 @@ class TestParseSegment:
 
 class TestParseSegmentsFile:
     def test_round_trip(self):
-        segs = [Segment(0, (72, 105)), Segment(1, (256, 32))]
+        segs = [Segment(0, "Hi"), Segment(1, chr(256) + " ")]
         assert parse_segments_file(render_segments_file(segs)) == segs
 
     def test_empty_text(self):
@@ -75,8 +75,8 @@ class TestParseSegmentsFile:
 
     def test_missing_trailing_newline_tolerated(self):
         assert parse_segments_file("000A\n001B") == [
-            Segment(0, (65,)),
-            Segment(1, (66,)),
+            Segment(0, "A"),
+            Segment(1, "B"),
         ]
 
     def test_error_carries_line_number(self):
@@ -92,10 +92,10 @@ class TestParseSegmentsFile:
 
 class TestReassemble:
     def test_complete_run_either_policy(self):
-        segs = [Segment(1, (66,)), Segment(0, (65,)), Segment(2, (67,))]
+        segs = [Segment(1, "B"), Segment(0, "A"), Segment(2, "C")]
         for policy in ReassemblyPolicy:
             stream, report = reassemble(segs, policy)
-            assert stream == [65, 66, 67]
+            assert stream == "ABC"
             assert report.received_indices == (0, 1, 2)
             assert report.missing_indices == ()
             assert report.duplicate_count == 0
@@ -103,46 +103,46 @@ class TestReassemble:
 
     def test_empty_input(self):
         stream, report = reassemble([], ReassemblyPolicy.STRICT)
-        assert stream == []
+        assert stream == ""
         assert report.received_indices == ()
 
     def test_loose_skips_gaps(self):
-        segs = [Segment(0, (65, 66)), Segment(2, (69, 70))]
+        segs = [Segment(0, "AB"), Segment(2, "EF")]
         stream, report = reassemble(segs, ReassemblyPolicy.LOOSE)
-        assert stream == [65, 66, 69, 70]
+        assert stream == "ABEF"
         assert report.missing_indices == (1,)
 
     def test_strict_raises_on_gap(self):
-        segs = [Segment(0, (65,)), Segment(2, (67,))]
+        segs = [Segment(0, "A"), Segment(2, "C")]
         with pytest.raises(MissingSegments) as info:
             reassemble(segs, ReassemblyPolicy.STRICT)
         assert info.value.missing == (1,)
 
     def test_strict_cannot_see_lost_tail(self):
         # Nothing marks segment 3 as ever having existed.
-        stream, report = reassemble([Segment(0, (65,))], ReassemblyPolicy.STRICT)
-        assert stream == [65]
+        stream, report = reassemble([Segment(0, "A")], ReassemblyPolicy.STRICT)
+        assert stream == "A"
         assert report.tail_unknown
 
     def test_duplicates_counted_once(self):
-        segs = [Segment(0, (65,)), Segment(0, (65,)), Segment(0, (65,))]
+        segs = [Segment(0, "A"), Segment(0, "A"), Segment(0, "A")]
         stream, report = reassemble(segs, ReassemblyPolicy.LOOSE)
-        assert stream == [65]
+        assert stream == "A"
         assert report.duplicate_count == 2
 
     def test_conflicting_duplicate_rejected(self):
-        segs = [Segment(4, (65,)), Segment(4, (66,))]
+        segs = [Segment(4, "A"), Segment(4, "B")]
         with pytest.raises(DuplicateMismatch) as info:
             reassemble(segs, ReassemblyPolicy.LOOSE)
         assert info.value.index == 4
 
     def test_missing_sorted_ascending(self):
-        segs = [Segment(9, (65,)), Segment(3, (66,)), Segment(7, (67,))]
+        segs = [Segment(9, "A"), Segment(3, "B"), Segment(7, "C")]
         _, report = reassemble(segs, ReassemblyPolicy.LOOSE)
         assert report.missing_indices == (0, 1, 2, 4, 5, 6, 8)
 
     @given(
-        st.lists(payload_points(), max_size=600),
+        payload_text(max_size=600),
         st.integers(min_value=1, max_value=50),
         st.randoms(use_true_random=False),
     )
@@ -164,7 +164,7 @@ class TestReassemble:
     @settings(max_examples=100)
     def test_loose_is_arrival_order_invariant(self, segs, rng):
         # Make payloads a function of index so duplicates never conflict.
-        segs = [Segment(s.index, (s.index % 200 + 40,)) for s in segs]
+        segs = [Segment(s.index, chr(s.index % 200 + 40)) for s in segs]
         shuffled = list(segs)
         rng.shuffle(shuffled)
         assert reassemble(shuffled, ReassemblyPolicy.LOOSE) == reassemble(

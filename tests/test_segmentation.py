@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import payload_points
+from support import payload_text
 from voicesms import (
     CapacityTooSmall,
     CostModel,
@@ -36,73 +36,73 @@ def ref_greedy(stream, capacity, model):
 
 class TestPointCost:
     def test_uniform_always_one(self):
-        assert point_cost(32, CostModel.UNIFORM) == 1
-        assert point_cost(287, CostModel.UNIFORM) == 1
+        assert point_cost(chr(32), CostModel.UNIFORM) == 1
+        assert point_cost(chr(287), CostModel.UNIFORM) == 1
 
     def test_wide_doubles_shifted_band(self):
-        assert point_cost(255, CostModel.WIDE) == 1
-        assert point_cost(256, CostModel.WIDE) == 2
-        assert point_cost(287, CostModel.WIDE) == 2
+        assert point_cost(chr(255), CostModel.WIDE) == 1
+        assert point_cost(chr(256), CostModel.WIDE) == 2
+        assert point_cost(chr(287), CostModel.WIDE) == 2
 
 
 class TestSegmentation:
     def test_empty_stream(self):
-        assert segment([], SegmentationConfig()) == []
+        assert segment("", SegmentationConfig()) == []
 
     def test_exact_fit_single_segment(self):
-        segs = segment([65] * 157, SegmentationConfig())
+        segs = segment("A" * 157, SegmentationConfig())
         assert len(segs) == 1
         assert segs[0].index == 0
         assert len(segs[0].payload) == 157
 
     def test_one_over_spills(self):
-        segs = segment([65] * 158, SegmentationConfig())
+        segs = segment("A" * 158, SegmentationConfig())
         assert [len(s.payload) for s in segs] == [157, 1]
         assert [s.index for s in segs] == [0, 1]
 
     def test_custom_capacity(self):
-        segs = segment(list(range(32, 42)), SegmentationConfig(capacity=4))
-        assert [list(s.payload) for s in segs] == [
-            [32, 33, 34, 35],
-            [36, 37, 38, 39],
-            [40, 41],
+        segs = segment(" !\"#$%&'()", SegmentationConfig(capacity=4))
+        assert [s.payload for s in segs] == [
+            " !\"#",
+            "$%&'",
+            "()",
         ]
 
     def test_wide_points_halve_uniform_fill(self):
         cfg = SegmentationConfig(capacity=10, cost_model=CostModel.WIDE)
-        segs = segment([256] * 12, cfg)
+        segs = segment(chr(256) * 12, cfg)
         assert [len(s.payload) for s in segs] == [5, 5, 2]
 
     def test_wide_never_splits_a_point(self):
         # Capacity 3 with alternating costs 1,2: greedy packs 1+2, then 2 alone
         # cannot pair with the next 1+2 -> packs 2+1, etc.
         cfg = SegmentationConfig(capacity=3, cost_model=CostModel.WIDE)
-        segs = segment([65, 256, 257, 66, 258], cfg)
+        segs = segment("A\u0100\u0101B\u0102", cfg)
         for seg in segs:
             assert sum(point_cost(p, CostModel.WIDE) for p in seg.payload) <= 3
-        flat = [p for s in segs for p in s.payload]
-        assert flat == [65, 256, 257, 66, 258]
+        flat = "".join(s.payload for s in segs)
+        assert flat == "A\u0100\u0101B\u0102"
 
     def test_indices_run_from_zero(self):
-        segs = segment([65] * 500, SegmentationConfig(capacity=100))
+        segs = segment("A" * 500, SegmentationConfig(capacity=100))
         assert [s.index for s in segs] == [0, 1, 2, 3, 4]
 
     def test_overflow_past_thousand_segments(self):
         with pytest.raises(SegmentOverflow):
-            segment([65] * 2001, SegmentationConfig(capacity=2))
+            segment("A" * 2001, SegmentationConfig(capacity=2))
 
     def test_exactly_thousand_segments_allowed(self):
-        segs = segment([65] * 2000, SegmentationConfig(capacity=2))
+        segs = segment("A" * 2000, SegmentationConfig(capacity=2))
         assert len(segs) == 1000
         assert segs[-1].index == 999
 
     def test_wide_point_larger_than_capacity(self):
         cfg = SegmentationConfig(capacity=1, cost_model=CostModel.WIDE)
         with pytest.raises(CapacityTooSmall):
-            segment([65, 256], cfg)
+            segment("A\u0100", cfg)
 
     @given(
-        st.lists(payload_points(), max_size=400),
+        payload_text(),
         st.integers(min_value=2, max_value=40),
         st.sampled_from(list(CostModel)),
     )
@@ -113,7 +113,7 @@ class TestSegmentation:
         assert [list(s.payload) for s in segs] == ref_greedy(stream, capacity, model)
         assert [s.index for s in segs] == list(range(len(segs)))
 
-    @given(st.lists(payload_points(), max_size=400), st.integers(2, 40))
+    @given(payload_text(), st.integers(2, 40))
     @settings(max_examples=100)
     def test_greedy_segments_are_maximal(self, stream, capacity):
         cfg = SegmentationConfig(capacity=capacity, cost_model=CostModel.WIDE)
@@ -126,12 +126,12 @@ class TestSegmentation:
 
 class TestRendering:
     def test_render_examples(self):
-        assert render_segment(Segment(0, (72, 105))) == "000Hi"
-        assert render_segment(Segment(7, (256,))) == "007" + chr(256)
-        assert render_segment(Segment(999, (32,))) == "999 "
+        assert render_segment(Segment(0, "Hi")) == "000Hi"
+        assert render_segment(Segment(7, chr(256))) == "007" + chr(256)
+        assert render_segment(Segment(999, " ")) == "999 "
 
     def test_render_file_line_per_segment(self):
-        text = render_segments_file([Segment(0, (65,)), Segment(1, (66,))])
+        text = render_segments_file([Segment(0, "A"), Segment(1, "B")])
         assert text == "000A\n001B\n"
 
     def test_render_file_empty(self):
@@ -139,9 +139,9 @@ class TestRendering:
 
     def test_index_bounds_enforced(self):
         with pytest.raises(ValueError):
-            Segment(-1, (65,))
+            Segment(-1, "A")
         with pytest.raises(ValueError):
-            Segment(1000, (65,))
+            Segment(1000, "A")
 
 
 class TestConnectedCount:

@@ -2,7 +2,7 @@
 
 Three codecs produce the byte stream that gets textualised and segmented:
 
-* ``PCM`` -- raw little-endian sample bytes, lossless both ways.
+* ``PCM`` -- the clip's WAV data chunk as it is, lossless both ways.
 * ``ULAW`` -- G.711 u-law companding, one octet per sample, error bounded
   by the quantizer step of the sample's segment.
 * ``TOY_COMPRESSED`` -- keep every D-th sample then u-law it; a small,
@@ -38,29 +38,38 @@ class CodecKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Immutable mono clip; samples are signed ints within the bit depth."""
+    """Immutable mono clip holding its samples as a WAV data chunk does:
+    16-bit signed little-endian, or 8-bit unsigned with a 128 offset."""
 
     sample_rate_hz: int
     bit_depth: int
-    samples: tuple[int, ...]
-    channels: int = 1
+    data: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        # via memoryview, so a list of sample ints is refused, not read as bytes
+        object.__setattr__(self, "data", bytes(memoryview(self.data)))
+        if self.bit_depth == 16 and len(self.data) % 2:
+            raise LengthMismatch(f"odd byte count {len(self.data)} for 16-bit samples")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if self.bit_depth not in (8, 16):
             raise ValueError(f"bit depth must be 8 or 16, got {self.bit_depth}")
-        if self.channels != 1:
-            raise ValueError(f"only mono clips are supported, got {self.channels} channels")
-        if self.samples:
-            lo, hi = -(1 << (self.bit_depth - 1)), (1 << (self.bit_depth - 1)) - 1
-            if min(self.samples) < lo or max(self.samples) > hi:
-                bad = next(s for s in self.samples if not lo <= s <= hi)
-                raise ValueError(f"sample {bad} outside {self.bit_depth}-bit range {lo}..{hi}")
+        if self.sample_rate_hz * self.bit_depth // 8 > 0xFFFFFFFF:
+            raise ValueError(f"sample rate {self.sample_rate_hz} Hz overflows the WAV byte-rate field")
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.data) // (self.bit_depth // 8)
+
+    @property
+    def samples(self) -> tuple[int, ...]:
+        """The signed sample values, unpacked from ``data`` on each read."""
+        if self.bit_depth == 16:
+            return struct.unpack(f"<{self.sample_count}h", self.data)
+        return tuple(b - 128 for b in self.data)
 
     def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
+        return self.sample_count / self.sample_rate_hz
 
 
 # --- u-law companding (G.711, 14-bit domain) --------------------------------
@@ -95,23 +104,6 @@ def ulaw_decode_sample(octet: int) -> int:
     mantissa = u & 0x0F
     magnitude = ((2 * mantissa + _ULAW_BIAS) << seg) - _ULAW_BIAS
     return -magnitude if u & 0x80 else magnitude
-
-
-# --- raw sample <-> byte packing ---------------------------------------------
-
-def _samples_to_bytes(samples, bit_depth: int) -> bytes:
-    if bit_depth == 16:
-        return struct.pack(f"<{len(samples)}h", *samples)
-    # 8-bit WAV convention: unsigned with a 128 offset
-    return bytes(s + 128 for s in samples)
-
-
-def _samples_from_bytes(data: bytes, bit_depth: int) -> list[int]:
-    if bit_depth == 16:
-        if len(data) % 2:
-            raise LengthMismatch(f"odd byte count {len(data)} for 16-bit samples")
-        return list(struct.unpack(f"<{len(data) // 2}h", data))
-    return [b - 128 for b in data]
 
 
 # --- RIFF/WAVE container ------------------------------------------------------
@@ -178,46 +170,54 @@ def read_wav(container: bytes) -> AudioClip:
     if len(data_body) % expected_align:
         raise MalformedContainer(f"data chunk of {len(data_body)} bytes is not whole {bits}-bit samples")
 
-    return AudioClip(rate, bits, tuple(_samples_from_bytes(data_body, bits)))
+    return AudioClip(rate, bits, data_body)
 
 
 def write_wav(clip: AudioClip) -> bytes:
     """Emit the minimal canonical container: 44-byte header, then samples,
     then one pad byte when the data chunk is odd-sized."""
-    data = _samples_to_bytes(clip.samples, clip.bit_depth)
-    pad = b"\x00" if len(data) % 2 else b""
+    pad = b"\x00" if len(clip.data) % 2 else b""
     block_align = clip.bit_depth // 8
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(data) + len(pad), b"WAVE",
+        b"RIFF", 36 + len(clip.data) + len(pad), b"WAVE",
         b"fmt ", 16, 1, 1, clip.sample_rate_hz, clip.sample_rate_hz * block_align,
         block_align, clip.bit_depth,
-        b"data", len(data),
+        b"data", len(clip.data),
     )
-    return header + data + pad
+    return header + clip.data + pad
 
 
 # --- codec front door ----------------------------------------------------------
+
+# Per octet, the low and the high byte of its decoded 16-bit sample.
+_ULAW_LOW, _ULAW_HIGH = (bytes((ulaw_decode_sample(octet) << 2 >> shift) & 0xFF for octet in range(256))
+                         for shift in (0, 8))
+
+
+def _hold(kind: CodecKind, decimation: int) -> int:
+    """Samples per u-law octet: ULAW is TOY_COMPRESSED with a step of 1."""
+    if kind is CodecKind.ULAW:
+        return 1
+    if kind is CodecKind.TOY_COMPRESSED:
+        if decimation < 1:
+            raise ValueError(f"decimation must be >= 1, got {decimation}")
+        return decimation
+    raise ValueError(f"unknown codec {kind!r}")
+
 
 def codec_encode(clip: AudioClip, kind: CodecKind,
                  decimation: int = DEFAULT_DECIMATION) -> bytes:
     """Turn a clip into the byte stream that will ride inside messages.
 
-    PCM emits the same bytes a WAV data chunk would hold. ULAW and
-    TOY_COMPRESSED require a 16-bit clip.
+    PCM emits the clip's WAV data chunk; ULAW and TOY_COMPRESSED need a 16-bit clip.
     """
     if kind is CodecKind.PCM:
-        return _samples_to_bytes(clip.samples, clip.bit_depth)
+        return clip.data
     if clip.bit_depth != 16:
         raise UnsupportedCombination(f"{kind.value} requires a 16-bit clip, got {clip.bit_depth}-bit")
-    if kind is CodecKind.ULAW:
-        return bytes(ulaw_encode_sample(s >> 2) for s in clip.samples)
-    if kind is CodecKind.TOY_COMPRESSED:
-        if decimation < 1:
-            raise ValueError(f"decimation must be >= 1, got {decimation}")
-        kept = clip.samples[::decimation]
-        return bytes(ulaw_encode_sample(s >> 2) for s in kept)
-    raise ValueError(f"unknown codec {kind!r}")
+    step = _hold(kind, decimation)
+    return bytes(ulaw_encode_sample(s >> 2) for s in clip.samples[::step])
 
 
 def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,
@@ -231,12 +231,11 @@ def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,
     ticks.
     """
     if kind is CodecKind.PCM:
-        return AudioClip(sample_rate_hz, bit_depth, tuple(_samples_from_bytes(stream, bit_depth)))
-    if kind is CodecKind.ULAW:
-        return AudioClip(sample_rate_hz, 16, tuple(ulaw_decode_sample(b) << 2 for b in stream))
-    if kind is CodecKind.TOY_COMPRESSED:
-        if decimation < 1:
-            raise ValueError(f"decimation must be >= 1, got {decimation}")
-        held = [ulaw_decode_sample(b) << 2 for b in stream]
-        return AudioClip(sample_rate_hz, 16, tuple(s for s in held for _ in range(decimation)))
-    raise ValueError(f"unknown codec {kind!r}")
+        return AudioClip(sample_rate_hz, bit_depth, stream)
+    stride = 2 * _hold(kind, decimation)
+    data = bytearray(stride * len(stream))
+    low, high = stream.translate(_ULAW_LOW), stream.translate(_ULAW_HIGH)
+    for tick in range(0, stride, 2):
+        data[tick::stride] = low
+        data[tick + 1::stride] = high
+    return AudioClip(sample_rate_hz, 16, data)

@@ -199,7 +199,7 @@ def cmd_decode(args) -> int:
     clip, report = _decode_stream(segments, ReassemblyPolicy(args.policy),
                                   _CODECS[args.codec], args.rate, args.bits, args.decimation)
     _write_atomic(args.out_path, write_wav(clip))
-    print(_report_summary(report, args.rate, len(clip.samples)))
+    print(_report_summary(report, args.rate, clip.sample_count))
     return 0
 
 
@@ -239,7 +239,7 @@ def cmd_roundtrip(args) -> int:
     out_clip, report = _decode_stream(received, ReassemblyPolicy(args.policy), kind,
                                       clip.sample_rate_hz, clip.bit_depth, args.decimation)
     _write_atomic(args.out_path, write_wav(out_clip))
-    print(_report_summary(report, clip.sample_rate_hz, len(out_clip.samples)))
+    print(_report_summary(report, clip.sample_rate_hz, out_clip.sample_count))
     return 0
 
 

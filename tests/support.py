@@ -26,6 +26,15 @@ def build_wav(samples, sample_rate=8000, bit_depth=16, channels=1) -> bytes:
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+def pcm_clip(samples, sample_rate=8000, bit_depth=16) -> AudioClip:
+    """A clip holding the given signed sample values."""
+    if bit_depth == 8:
+        data = bytes(s + 128 for s in samples)
+    else:
+        data = struct.pack(f"<{len(samples)}h", *samples)
+    return AudioClip(sample_rate_hz=sample_rate, bit_depth=bit_depth, data=data)
+
+
 def make_clip(n, seed=0, sample_rate=8000, bit_depth=16) -> AudioClip:
     """Deterministic pseudo-speech clip: full-range uniform noise."""
     rng = random.Random(seed)
@@ -33,7 +42,7 @@ def make_clip(n, seed=0, sample_rate=8000, bit_depth=16) -> AudioClip:
         samples = [rng.randrange(-128, 128) for _ in range(n)]
     else:
         samples = [rng.randrange(-32768, 32768) for _ in range(n)]
-    return AudioClip(sample_rate_hz=sample_rate, bit_depth=bit_depth, samples=samples)
+    return pcm_clip(samples, sample_rate, bit_depth)
 
 
 def sample_values(bit_depth):
@@ -45,10 +54,10 @@ def sample_values(bit_depth):
 def clips(max_size=200, bit_depths=(8, 16)):
     return st.sampled_from(bit_depths).flatmap(
         lambda depth: st.builds(
-            AudioClip,
-            sample_rate_hz=st.sampled_from([8000, 16000, 44100]),
+            pcm_clip,
+            st.lists(sample_values(depth), max_size=max_size),
+            sample_rate=st.sampled_from([8000, 16000, 44100]),
             bit_depth=st.just(depth),
-            samples=st.lists(sample_values(depth), max_size=max_size),
         )
     )
 

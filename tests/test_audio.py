@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g711_ref import ref_decode_table, ref_encode, ref_error_bound
-from support import build_wav, clips, make_clip
+from support import build_wav, clips, make_clip, pcm_clip
 from voicesms import (
     AudioClip,
     CodecKind,
@@ -85,43 +85,64 @@ class TestUlawSamples:
 
 
 class TestClipValidation:
-    def test_rejects_out_of_range_sample(self):
-        with pytest.raises(ValueError):
-            AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[0, 32768])
-        with pytest.raises(ValueError):
-            AudioClip(sample_rate_hz=8000, bit_depth=8, samples=[-129])
+    def test_rejects_partial_sixteen_bit_sample(self):
+        # Bytes cannot hold an out-of-range sample; only a torn one.
+        with pytest.raises(LengthMismatch, match="odd byte count 3 for 16-bit samples"):
+            AudioClip(sample_rate_hz=8000, bit_depth=16, data=b"\x00\x01\x02")
+        odd = AudioClip(sample_rate_hz=8000, bit_depth=8, data=b"\x00\x01\x02")
+        assert odd.samples == (-128, -127, -126)
 
     def test_rejects_bad_rate_and_depth(self):
         with pytest.raises(ValueError):
-            AudioClip(sample_rate_hz=0, bit_depth=16, samples=[])
+            pcm_clip([], sample_rate=0)
         with pytest.raises(ValueError):
-            AudioClip(sample_rate_hz=8000, bit_depth=12, samples=[])
+            pcm_clip([], bit_depth=12)
+
+    def test_rejects_rate_overflowing_byte_rate_field(self):
+        # The WAV header stores rate * bytes-per-sample in 32 bits.
+        with pytest.raises(ValueError, match="byte-rate"):
+            pcm_clip([], sample_rate=1 << 31)
+        with pytest.raises(ValueError, match="byte-rate"):
+            pcm_clip([], sample_rate=1 << 32, bit_depth=8)
+        for rate, depth in (((1 << 31) - 1, 16), ((1 << 32) - 1, 8)):
+            clip = pcm_clip([0], sample_rate=rate, bit_depth=depth)
+            assert read_wav(write_wav(clip)) == clip
 
     def test_samples_stored_as_tuple(self):
-        clip = AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[1, 2])
+        clip = pcm_clip([1, 2])
         assert clip.samples == (1, 2)
         assert isinstance(clip.samples, tuple)
+        assert clip.sample_count == 2
+
+    def test_data_stored_as_bytes(self):
+        clip = AudioClip(sample_rate_hz=8000, bit_depth=16, data=bytearray(b"\x01\x00\xff\xff"))
+        assert type(clip.data) is bytes
+        assert clip.samples == (1, -1)
+        hash(clip)
+
+    def test_sample_list_refused_as_data(self):
+        # bytes([1, 2]) would silently read two sample values as two bytes.
+        with pytest.raises(TypeError):
+            AudioClip(sample_rate_hz=8000, bit_depth=16, data=[1, 2])
 
 
 class TestWavContainer:
     def test_empty_clip_writes_canonical_header(self):
-        blob = write_wav(AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[]))
+        blob = write_wav(pcm_clip([]))
         assert len(blob) == 44
         assert blob[:4] == b"RIFF" and blob[8:12] == b"WAVE"
         assert struct.unpack_from("<I", blob, 4)[0] == 36
 
     def test_sixteen_bit_little_endian_twos_complement(self):
-        blob = write_wav(AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[0, -1]))
+        blob = write_wav(pcm_clip([0, -1]))
         assert blob[-4:] == b"\x00\x00\xff\xff"
 
     def test_eight_bit_unsigned_offset(self):
-        blob = write_wav(
-            AudioClip(sample_rate_hz=8000, bit_depth=8, samples=[-128, 0, 127])
-        )
+        blob = write_wav(pcm_clip([-128, 0, 127], bit_depth=8))
         assert blob[44:47] == b"\x00\x80\xff"
 
     def test_odd_data_chunk_padded(self):
-        blob = write_wav(AudioClip(sample_rate_hz=8000, bit_depth=8, samples=[0]))
+        blob = write_wav(pcm_clip([0], bit_depth=8))
         assert len(blob) % 2 == 0
         assert struct.unpack_from("<I", blob, 4)[0] == len(blob) - 8
 
@@ -133,9 +154,7 @@ class TestWavContainer:
     @given(clips())
     @settings(max_examples=40)
     def test_reads_independently_built_containers(self, clip):
-        blob = build_wav(
-            clip.samples, clip.sample_rate_hz, clip.bit_depth, clip.channels
-        )
+        blob = build_wav(clip.samples, clip.sample_rate_hz, clip.bit_depth)
         assert read_wav(blob) == clip
 
     def test_skips_unknown_chunks_with_pad_alignment(self):
@@ -176,8 +195,6 @@ class TestWavContainer:
 
     def test_stereo_rejected(self):
         # The pipeline is mono end to end.
-        with pytest.raises(ValueError):
-            AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[1, 2], channels=2)
         blob = build_wav([1, 2, 3, 4], channels=2)
         with pytest.raises(UnsupportedFormat):
             read_wav(blob)
@@ -219,7 +236,7 @@ class TestCodecs:
             assert abs(got - orig) <= ref_error_bound(orig >> 2) * 4 + 3
 
     def test_ulaw_stream_is_per_sample_companding(self):
-        clip = AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[0, 4, -4, 32767])
+        clip = pcm_clip([0, 4, -4, 32767])
         stream = codec_encode(clip, CodecKind.ULAW)
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in clip.samples]
 
@@ -230,14 +247,14 @@ class TestCodecs:
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in kept]
 
     def test_toy_decode_zero_order_hold(self):
-        clip = AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[1000] * 8)
+        clip = pcm_clip([1000] * 8)
         stream = codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=4)
         back = codec_decode(stream, CodecKind.TOY_COMPRESSED, 8000, decimation=4)
         assert len(back.samples) == 8
         assert len(set(back.samples)) == 1  # held value repeated
 
     def test_toy_constant_clip_frozen_value(self):
-        clip = AudioClip(sample_rate_hz=8000, bit_depth=16, samples=[1000] * 8)
+        clip = pcm_clip([1000] * 8)
         back = codec_decode(
             codec_encode(clip, CodecKind.TOY_COMPRESSED),
             CodecKind.TOY_COMPRESSED,
@@ -247,7 +264,7 @@ class TestCodecs:
 
     @pytest.mark.parametrize("kind", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
     def test_companded_kinds_require_sixteen_bit(self, kind):
-        clip = AudioClip(sample_rate_hz=8000, bit_depth=8, samples=[0])
+        clip = pcm_clip([0], bit_depth=8)
         with pytest.raises(UnsupportedCombination):
             codec_encode(clip, kind)
         # Decoding always reconstructs 16-bit; bit_depth only matters to PCM.
@@ -256,6 +273,27 @@ class TestCodecs:
     def test_pcm_decode_rejects_odd_length(self):
         with pytest.raises(LengthMismatch):
             codec_decode(b"\x00\x01\x02", CodecKind.PCM, 8000, bit_depth=16)
+
+    @pytest.mark.parametrize(
+        "kind, hold",
+        [(CodecKind.ULAW, 1)] + [(CodecKind.TOY_COMPRESSED, d) for d in range(1, 6)],
+    )
+    def test_decode_matches_scalar_spec_on_every_octet(self, kind, hold):
+        back = codec_decode(bytes(range(256)), kind, 8000, decimation=hold)
+        expected = [ulaw_decode_sample(o) << 2 for o in range(256) for _ in range(hold)]
+        assert back.samples == tuple(expected)
+
+    def test_ulaw_encode_matches_scalar_spec_on_every_sample(self):
+        every = list(range(-32768, 32768))
+        stream = codec_encode(pcm_clip(every), CodecKind.ULAW)
+        assert list(stream) == [ulaw_encode_sample(s >> 2) for s in every]
+
+    def test_ulaw_ignores_decimation(self):
+        clip = make_clip(10)
+        stream = codec_encode(clip, CodecKind.ULAW, decimation=0)
+        assert stream == codec_encode(clip, CodecKind.ULAW)
+        back = codec_decode(stream, CodecKind.ULAW, 8000, decimation=0)
+        assert back == codec_decode(stream, CodecKind.ULAW, 8000)
 
     def test_bad_decimation_rejected(self):
         clip = make_clip(10)

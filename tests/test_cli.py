@@ -147,6 +147,19 @@ class TestDecode:
         assert code == 0
         assert (tmp_path / "o.wav").read_bytes() == src.read_bytes()
 
+    def test_rate_overflowing_wav_header_reports_error(self, wav_path, tmp_path, capsys):
+        seg_file = str(tmp_path / "segs.txt")
+        run(capsys, "encode", "--in", wav_path, "--out", seg_file)
+        code, stdout, stderr = run(
+            capsys, "decode", "--in", seg_file,
+            "--out", str(tmp_path / "o.wav"), "--rate", "3000000000",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ValueError: ")
+        assert stderr.count("\n") == 1
+        assert not (tmp_path / "o.wav").exists()
+
 
 class TestSimulate:
     def make_segments(self, tmp_path, capsys, wav_path):

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import make_clip
+from support import make_clip, pcm_clip
 from voicesms import (
     CSV_HEADER,
-    AudioClip,
     CodecKind,
     CostModel,
     SegmentationConfig,
@@ -67,7 +66,7 @@ class TestAnalyze:
         base = make_clip(1200, seed=2)
         prev = (0, 0, 0)
         for n in (0, 300, 600, 900, 1200):
-            clip = AudioClip(base.sample_rate_hz, base.bit_depth, base.samples[:n])
+            clip = pcm_clip(base.samples[:n], base.sample_rate_hz, base.bit_depth)
             r = analyze(clip, CodecKind.PCM, CFG)
             now = (r.char_count, r.message_count, r.connected_count)
             assert all(a <= b for a, b in zip(prev, now))

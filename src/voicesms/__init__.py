@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedFormat,
     VoiceSmsError,
 )
-from .metrics import CSV_HEADER, TransmissionReport, analyze, compare, render_csv, render_table
+from .metrics import CSV_HEADER, TransmissionReport, compare, encode, render_csv, render_table
 from .payload import bytes_to_codepoints, codepoints_to_bytes
 from .reassembly import (
     ReassemblyPolicy,
@@ -46,10 +46,12 @@ from .segmentation import (
     Segment,
     SegmentationConfig,
     connected_group_count,
+    join_lines,
     point_cost,
     render_segment,
     render_segments_file,
     segment,
+    split_lines,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,13 @@
-"""Command-line front end wiring the pipeline stages together.
+"""Command-line front end.
 
 Stages exchange plain files so each one can be scripted and inspected on
 its own: ``encode`` turns a WAV into a segments file, ``simulate`` pushes a
 segments file through the impaired channel, ``decode`` rebuilds a WAV, and
-``roundtrip`` chains all three in one process. ``stats`` prints the
-per-codec accounting table. Every output file is written to a temp file
-and renamed into place, so a failed run never leaves a partial file.
+``roundtrip`` chains the same three steps in one process. ``stats`` prints
+the per-codec accounting table. Each command reads its input, calls the
+library, writes its output and prints a one-line summary. Every output
+file is written to a temp file and renamed into place, so a failed run
+never leaves a partial file.
 """
 
 import argparse
@@ -13,31 +15,22 @@ import os
 import sys
 import tempfile
 
-from .audio import (
-    DEFAULT_DECIMATION,
-    AudioClip,
-    CodecKind,
-    codec_decode,
-    codec_encode,
-    read_wav,
-    write_wav,
-)
-from .channel import ChannelConfig, Outcome, render_channel_log, transmit
+from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_decode, read_wav, write_wav
+from .channel import ChannelConfig, ChannelEvent, Outcome, render_channel_log, transmit
 from .errors import VoiceSmsError
-from .metrics import compare, render_csv, render_table
-from .payload import bytes_to_codepoints, codepoints_to_bytes
+from .metrics import compare, encode, render_csv, render_table
+from .payload import codepoints_to_bytes
 from .reassembly import ReassemblyPolicy, parse_segments_file, reassemble
 from .segmentation import (
     DEFAULT_CAPACITY,
     CostModel,
     SegmentationConfig,
-    connected_group_count,
-    render_segment,
+    join_lines,
     render_segments_file,
-    segment,
+    split_lines,
 )
 
-_CODECS = {k.value: k for k in CodecKind}
+_CODEC_NAMES = sorted(k.value for k in CodecKind)
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -67,16 +60,12 @@ def _segmentation_config(args) -> SegmentationConfig:
     return SegmentationConfig(args.capacity, CostModel(args.cost), args.group)
 
 
-def _channel_config(args) -> ChannelConfig:
-    return ChannelConfig(args.loss, args.dup, args.delay, args.seed)
-
-
 def _fmt_indices(indices) -> str:
     return ",".join(map(str, indices)) if indices else "-"
 
 
 def _add_codec_flags(parser):
-    parser.add_argument("--codec", choices=sorted(_CODECS), default="pcm",
+    parser.add_argument("--codec", choices=_CODEC_NAMES, default="pcm",
                         help="audio codec (default: pcm)")
     parser.add_argument("--decimation", type=int, default=DEFAULT_DECIMATION, metavar="D",
                         help="toy codec keeps every D-th sample (default: %(default)s)")
@@ -138,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="per-codec character/message accounting")
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
-    p.add_argument("--codec", action="append", choices=sorted(_CODECS), dest="codecs",
+    p.add_argument("--codec", action="append", choices=_CODEC_NAMES, dest="codecs",
                    help="codec to include; may repeat (default: pcm, ulaw, toy)")
     p.add_argument("--decimation", type=int, default=DEFAULT_DECIMATION, metavar="D")
     _add_segmentation_flags(p)
@@ -155,91 +144,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _encode_clip(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig, decimation: int):
-    data = codec_encode(clip, kind, decimation)
-    segments = segment(bytes_to_codepoints(data), cfg)
-    return segments, len(data)
+def _encode_text(clip: AudioClip, args) -> tuple[str, str]:
+    """WAV clip -> segments file text, and the encode summary line."""
+    segments, report = encode(clip, CodecKind(args.codec), _segmentation_config(args),
+                              args.decimation)
+    summary = (f"chars={report.char_count} messages={report.message_count} "
+               f"connected={report.connected_count}")
+    return render_segments_file(segments), summary
 
 
-def _encode_summary(char_count: int, message_count: int, group_size: int) -> str:
-    connected = connected_group_count(message_count, group_size)
-    return f"chars={char_count} messages={message_count} connected={connected}"
-
-
-def _decode_stream(segments, policy, kind, rate, bits, decimation):
-    stream, report = reassemble(segments, policy)
-    clip = codec_decode(codepoints_to_bytes(stream), kind, rate, bits, decimation)
-    return clip, report
-
-
-def _report_summary(report, rate: int, sample_count: int) -> str:
-    return (f"rate={rate} samples={sample_count} received={len(report.received_indices)} "
-            f"missing={_fmt_indices(report.missing_indices)} duplicates={report.duplicate_count}")
-
-
-def _channel_summary(log) -> str:
+def _simulate_text(text: str, args) -> tuple[str, list[ChannelEvent], str]:
+    """Segments file text -> delivered text, the channel log, and the summary line."""
+    cfg = ChannelConfig(args.loss, args.dup, args.delay, args.seed)
+    delivered, log = transmit(split_lines(text), cfg)
     dropped = sum(1 for e in log if e.outcome is Outcome.DROPPED)
     duplicated = sum(1 for e in log if e.outcome is Outcome.DUPLICATED)
-    delivered = len(log) - dropped + duplicated
-    return (f"input={len(log)} delivered={delivered} dropped={dropped} "
-            f"duplicated={duplicated}")
+    summary = (f"input={len(log)} delivered={len(delivered)} dropped={dropped} "
+               f"duplicated={duplicated}")
+    return join_lines(delivered), log, summary
+
+
+def _decode_text(text: str, args, rate: int, bits: int) -> tuple[AudioClip, str]:
+    """Segments file text -> rebuilt clip, and the decode summary line."""
+    stream, report = reassemble(parse_segments_file(text), ReassemblyPolicy(args.policy))
+    clip = codec_decode(codepoints_to_bytes(stream), CodecKind(args.codec), rate, bits,
+                        args.decimation)
+    summary = (f"rate={rate} samples={clip.sample_count} "
+               f"received={len(report.received_indices)} "
+               f"missing={_fmt_indices(report.missing_indices)} "
+               f"duplicates={report.duplicate_count}")
+    return clip, summary
 
 
 def cmd_encode(args) -> int:
-    clip = read_wav(_read_bytes(args.in_path))
-    cfg = _segmentation_config(args)
-    segments, char_count = _encode_clip(clip, _CODECS[args.codec], cfg, args.decimation)
-    _write_atomic(args.out_path, render_segments_file(segments).encode("utf-8"))
-    print(_encode_summary(char_count, len(segments), cfg.group_size))
+    text, summary = _encode_text(read_wav(_read_bytes(args.in_path)), args)
+    _write_atomic(args.out_path, text.encode("utf-8"))
+    print(summary)
     return 0
 
 
 def cmd_decode(args) -> int:
-    segments = parse_segments_file(_read_text(args.in_path))
-    clip, report = _decode_stream(segments, ReassemblyPolicy(args.policy),
-                                  _CODECS[args.codec], args.rate, args.bits, args.decimation)
+    clip, summary = _decode_text(_read_text(args.in_path), args, args.rate, args.bits)
     _write_atomic(args.out_path, write_wav(clip))
-    print(_report_summary(report, args.rate, clip.sample_count))
+    print(summary)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    text = _read_text(args.in_path)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    delivered, log = transmit(lines, _channel_config(args))
-    _write_atomic(args.out_path, "".join(line + "\n" for line in delivered).encode("utf-8"))
+    delivered, log, summary = _simulate_text(_read_text(args.in_path), args)
+    _write_atomic(args.out_path, delivered.encode("utf-8"))
     if args.log_path:
         _write_atomic(args.log_path, render_channel_log(log).encode("utf-8"))
-    print(_channel_summary(log))
+    print(summary)
     return 0
 
 
 def cmd_stats(args) -> int:
     clip = read_wav(_read_bytes(args.in_path))
-    kinds = [_CODECS[name] for name in (args.codecs or ["pcm", "ulaw", "toy"])]
+    kinds = [CodecKind(name) for name in (args.codecs or ["pcm", "ulaw", "toy"])]
     reports = compare(clip, kinds, _segmentation_config(args), args.decimation)
     sys.stdout.write(render_csv(reports) if args.csv else render_table(reports))
     return 0
 
 
 def cmd_roundtrip(args) -> int:
+    """``encode | simulate | decode`` on in-memory text."""
     clip = read_wav(_read_bytes(args.in_path))
-    cfg = _segmentation_config(args)
-    kind = _CODECS[args.codec]
-    segments, char_count = _encode_clip(clip, kind, cfg, args.decimation)
-    print(_encode_summary(char_count, len(segments), cfg.group_size))
-
-    rendered = [render_segment(seg) for seg in segments]
-    delivered, log = transmit(rendered, _channel_config(args))
-    print(_channel_summary(log))
-
-    received = parse_segments_file("".join(line + "\n" for line in delivered))
-    out_clip, report = _decode_stream(received, ReassemblyPolicy(args.policy), kind,
-                                      clip.sample_rate_hz, clip.bit_depth, args.decimation)
-    _write_atomic(args.out_path, write_wav(out_clip))
-    print(_report_summary(report, clip.sample_rate_hz, out_clip.sample_count))
+    text, summary = _encode_text(clip, args)
+    print(summary)
+    delivered, _log, summary = _simulate_text(text, args)
+    print(summary)
+    heard, summary = _decode_text(delivered, args, clip.sample_rate_hz, clip.bit_depth)
+    _write_atomic(args.out_path, write_wav(heard))
+    print(summary)
     return 0
 
 

@@ -1,17 +1,16 @@
-"""Message accounting: how many characters, messages, and connected
-messages a clip costs under each codec.
+"""The sender's side of the pipeline and its accounting: how many
+characters, messages, and connected messages a clip costs under each codec.
 
 Character count equals the codec's byte count (the payload mapping is one
 code point per byte), message count is the greedy segment count, and the
-connected count groups messages ``group_size`` at a time. Word count is
-caller-supplied metadata only -- it is echoed into reports, never computed.
+connected count groups messages ``group_size`` at a time.
 """
 
 from dataclasses import dataclass
 
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_encode
 from .payload import bytes_to_codepoints
-from .segmentation import CostModel, SegmentationConfig, connected_group_count, segment
+from .segmentation import CostModel, Segment, SegmentationConfig, connected_group_count, segment
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class TransmissionReport:
     cost_model: CostModel
     group_size: int
     decimation: int | None = None  # set for TOY_COMPRESSED only
-    word_count: int | None = None
 
 
 CSV_HEADER = "codec,chars,messages,connected,capacity,cost_model,group_size"
@@ -36,20 +34,18 @@ def _row(r: TransmissionReport) -> list[str]:
             str(r.capacity), r.cost_model.value, str(r.group_size)]
 
 
-def analyze(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
-            decimation: int = DEFAULT_DECIMATION,
-            word_count: int | None = None) -> TransmissionReport:
-    """Run encode -> code points -> segmentation and tally the three counts.
+def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
+           decimation: int = DEFAULT_DECIMATION) -> tuple[list[Segment], TransmissionReport]:
+    """Run codec -> payload text -> segmentation; return the segments and
+    the report tallying their three counts.
 
     Performs no transmission. A stream too long for the index space
-    propagates :class:`SegmentOverflow` with the counts known so far
-    attached (``char_count`` et al. on the exception).
+    propagates :class:`SegmentOverflow` carrying the counts known so far.
     """
     data = codec_encode(clip, kind, decimation)
-    points = bytes_to_codepoints(data)
-    segments = segment(points, cfg)
+    segments = segment(bytes_to_codepoints(data), cfg)
     message_count = len(segments)
-    return TransmissionReport(
+    return segments, TransmissionReport(
         codec=kind,
         char_count=len(data),
         message_count=message_count,
@@ -58,18 +54,16 @@ def analyze(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
         cost_model=cfg.cost_model,
         group_size=cfg.group_size,
         decimation=decimation if kind is CodecKind.TOY_COMPRESSED else None,
-        word_count=word_count,
     )
 
 
 def compare(clip: AudioClip, kinds, cfg: SegmentationConfig,
-            decimation: int = DEFAULT_DECIMATION,
-            word_count: int | None = None) -> list[TransmissionReport]:
+            decimation: int = DEFAULT_DECIMATION) -> list[TransmissionReport]:
     """One report per codec, in the order requested."""
     kinds = list(kinds)
     if not kinds:
         raise ValueError("at least one codec is required")
-    return [analyze(clip, kind, cfg, decimation, word_count) for kind in kinds]
+    return [encode(clip, kind, cfg, decimation)[1] for kind in kinds]
 
 
 def render_csv(reports) -> str:

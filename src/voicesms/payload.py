@@ -19,7 +19,6 @@ MAX_POINT = 287
 
 # ALPHABET[b] is the character that carries byte b.
 ALPHABET = "".join(chr(b + SHIFT if b <= RESERVED_CEILING else b) for b in range(256))
-_TO_BYTES = codecs.charmap_build(ALPHABET)
 _ILLEGAL = re.compile(f"[^{chr(MIN_POINT)}-{chr(MAX_POINT)}]")
 
 
@@ -39,10 +38,8 @@ def codepoints_to_bytes(text: str) -> bytes:
     """Invert :func:`bytes_to_codepoints`.
 
     Rejects any character outside 32..287 rather than repairing it; an
-    illegal point means the channel corrupted the text.
+    illegal point means the channel corrupted the text. Every legal
+    character is one UTF-16 unit whose low byte is the byte it carries.
     """
-    try:
-        return codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
-    except UnicodeEncodeError as exc:
-        raise InvalidCodePoint(f"code point {ord(text[exc.start])} outside the legal range "
-                               f"{MIN_POINT}..{MAX_POINT}") from None
+    check_points(text)
+    return text.encode("utf-16-le")[::2]

@@ -20,7 +20,7 @@ from .errors import (
     VoiceSmsError,
 )
 from .payload import check_points
-from .segmentation import INDEX_DIGITS, Segment
+from .segmentation import INDEX_DIGITS, Segment, split_lines
 
 
 class ReassemblyPolicy(enum.Enum):
@@ -55,13 +55,8 @@ def parse_segments_file(text: str) -> list[Segment]:
 
     Re-raises parse failures with the 1-based line number prepended.
     """
-    if text == "":
-        return []
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # trailing LF
     segments = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         try:
             segments.append(parse_segment(line))
         except VoiceSmsError as exc:

@@ -103,13 +103,30 @@ def render_segment(seg: Segment) -> str:
     return f"{seg.index:0{INDEX_DIGITS}d}{seg.payload}"
 
 
+def split_lines(text: str) -> list[str]:
+    """Split LF-framed text into its lines; the final LF is optional.
+
+    Splits on LF alone: payload characters such as U+0085, which
+    ``str.splitlines`` treats as line breaks, stay inside their line.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def join_lines(lines) -> str:
+    """Frame each line with a terminating LF; inverse of :func:`split_lines`."""
+    return "".join(line + "\n" for line in lines)
+
+
 def render_segments_file(segments) -> str:
     """One rendered segment per LF-terminated line.
 
     Safe because no payload point falls in 0..31, so payloads can never
     contain LF or CR.
     """
-    return "".join(render_segment(s) + "\n" for s in segments)
+    return join_lines(render_segment(s) for s in segments)
 
 
 def connected_group_count(message_count: int, group_size: int = 3) -> int:

@@ -22,12 +22,12 @@ from voicesms import (
     ReassemblyPolicy,
     SegmentationConfig,
     SegmentOverflow,
-    analyze,
     bytes_to_codepoints,
     codec_decode,
     codec_encode,
     codepoints_to_bytes,
     connected_group_count,
+    encode,
     parse_segments_file,
     point_cost,
     reassemble,
@@ -213,16 +213,16 @@ def test_c07_codec_ordering_for_second_long_clips():
     for n in (8_000, 12_345, 20_000, 80_000):
         clip = make_clip(n, seed=n)
         assert clip.duration_seconds() >= 1.0
-        pcm = analyze(clip, CodecKind.PCM, SegmentationConfig(capacity=160))
-        ulaw = analyze(clip, CodecKind.ULAW, SegmentationConfig(capacity=160))
-        toy = analyze(clip, CodecKind.TOY_COMPRESSED, SegmentationConfig(capacity=160),
-                      decimation=4)
+        pcm = encode(clip, CodecKind.PCM, SegmentationConfig(capacity=160))[1]
+        ulaw = encode(clip, CodecKind.ULAW, SegmentationConfig(capacity=160))[1]
+        toy = encode(clip, CodecKind.TOY_COMPRESSED, SegmentationConfig(capacity=160),
+                     decimation=4)[1]
         assert toy.message_count < ulaw.message_count < pcm.message_count
         assert ulaw.char_count * 2 == pcm.char_count
     # The same ordering holds at the default capacity for clips that fit.
     clip = make_clip(8_000, seed=7)
     counts = [
-        analyze(clip, kind, cfg, decimation=4).message_count
+        encode(clip, kind, cfg, decimation=4)[1].message_count
         for kind in (CodecKind.TOY_COMPRESSED, CodecKind.ULAW, CodecKind.PCM)
     ]
     assert counts[0] < counts[1] < counts[2]

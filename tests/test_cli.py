@@ -209,6 +209,21 @@ class TestSimulate:
             blobs.append(out.read_bytes())
         assert blobs[0] != blobs[1]
 
+    def test_final_newline_optional(self, wav_path, tmp_path, capsys):
+        self.make_segments(tmp_path, capsys, wav_path)
+        seg_file = tmp_path / "segs.txt"
+        bare = tmp_path / "bare.txt"
+        bare.write_bytes(seg_file.read_bytes().removesuffix(b"\n"))
+        blobs = []
+        for src in (seg_file, bare):
+            out = tmp_path / f"{src.stem}.out"
+            code, _, _ = run(capsys, "simulate", "--in", str(src), "--out", str(out),
+                             "--dup", "0.5", "--delay", "3", "--seed", "9")
+            assert code == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].endswith(b"\n")
+
     def test_bad_probability_reports_error(self, wav_path, tmp_path, capsys):
         seg_file = self.make_segments(tmp_path, capsys, wav_path)
         code, _, stderr = run(
@@ -276,6 +291,36 @@ class TestRoundtrip:
         )
         assert code == 1
         assert "MissingSegments" in stderr
+
+
+# Seed 5 loses middle segments under every codec, so strict runs fail.
+LOSSY = ["--loss", "0.3", "--dup", "0.2", "--delay", "5", "--seed", "5"]
+
+
+@pytest.mark.parametrize("policy", ["loose", "strict"])
+@pytest.mark.parametrize("codec", ["pcm", "ulaw", "toy"])
+def test_roundtrip_is_encode_simulate_decode(codec, policy, tmp_path, capsys):
+    # roundtrip behaves exactly like the three commands chained through files.
+    src = tmp_path / "in.wav"
+    src.write_bytes(write_wav(make_clip(2000, seed=12)))
+    seg, got, piped, direct = (str(tmp_path / name)
+                               for name in ("segs.txt", "got.txt", "piped.wav", "direct.wav"))
+    flags = ["--codec", codec]
+    _, encoded, _ = run(capsys, "encode", "--in", str(src), "--out", seg, *flags)
+    _, simulated, _ = run(capsys, "simulate", "--in", seg, "--out", got, *LOSSY)
+    decode_code, decoded, decode_err = run(capsys, "decode", "--in", got, "--out", piped,
+                                           *flags, "--policy", policy)
+    code, stdout, stderr = run(capsys, "roundtrip", "--in", str(src), "--out", direct,
+                               *flags, *LOSSY, "--policy", policy)
+    assert (code, stderr) == (decode_code, decode_err)
+    assert stdout == encoded + simulated + decoded
+    assert code == (1 if policy == "strict" else 0)
+    if code == 0:
+        assert (tmp_path / "direct.wav").read_bytes() == (tmp_path / "piped.wav").read_bytes()
+    else:
+        # the encode and channel lines still print; no output or temp file is left
+        assert "MissingSegments" in stderr and len(stdout.splitlines()) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["got.txt", "in.wav", "segs.txt"]
 
 
 def test_module_entry_point(wav_path, tmp_path):

@@ -9,8 +9,8 @@ from voicesms import (
     CostModel,
     SegmentationConfig,
     SegmentOverflow,
-    analyze,
     compare,
+    encode,
     render_csv,
     render_table,
 )
@@ -20,46 +20,41 @@ CFG = SegmentationConfig()
 
 class TestAnalyze:
     def test_empty_clip(self):
-        report = analyze(make_clip(0), CodecKind.PCM, CFG)
+        report = encode(make_clip(0), CodecKind.PCM, CFG)[1]
         assert (report.char_count, report.message_count, report.connected_count) == (0, 0, 0)
 
     def test_five_hundred_sample_pcm(self):
-        report = analyze(make_clip(500), CodecKind.PCM, CFG)
+        report = encode(make_clip(500), CodecKind.PCM, CFG)[1]
         assert report.char_count == 1000
         assert report.message_count == 7
         assert report.connected_count == 3
 
     def test_five_hundred_sample_toy(self):
-        report = analyze(make_clip(500), CodecKind.TOY_COMPRESSED, CFG)
+        report = encode(make_clip(500), CodecKind.TOY_COMPRESSED, CFG)[1]
         assert (report.char_count, report.message_count, report.connected_count) == (125, 1, 1)
         assert report.decimation == 4
 
     def test_decimation_recorded_only_for_toy(self):
-        assert analyze(make_clip(10), CodecKind.PCM, CFG).decimation is None
-        assert analyze(make_clip(10), CodecKind.ULAW, CFG).decimation is None
-
-    def test_word_count_echoed_not_computed(self):
-        assert analyze(make_clip(10), CodecKind.PCM, CFG).word_count is None
-        report = analyze(make_clip(10), CodecKind.PCM, CFG, word_count=12)
-        assert report.word_count == 12
+        assert encode(make_clip(10), CodecKind.PCM, CFG)[1].decimation is None
+        assert encode(make_clip(10), CodecKind.ULAW, CFG)[1].decimation is None
 
     def test_config_echoed(self):
         cfg = SegmentationConfig(capacity=66, cost_model=CostModel.WIDE, group_size=5)
-        report = analyze(make_clip(40), CodecKind.ULAW, cfg)
+        report = encode(make_clip(40), CodecKind.ULAW, cfg)[1]
         assert (report.capacity, report.cost_model, report.group_size) == (66, CostModel.WIDE, 5)
 
     @given(st.integers(min_value=0, max_value=3000))
     @settings(max_examples=60)
     def test_counts_consistent(self, n):
-        report = analyze(make_clip(n, seed=n), CodecKind.ULAW, CFG)
+        report = encode(make_clip(n, seed=n), CodecKind.ULAW, CFG)[1]
         assert report.char_count == n
         assert report.message_count == -(-report.char_count // CFG.capacity)
         assert report.connected_count == -(-report.message_count // CFG.group_size)
 
     def test_ulaw_is_half_of_pcm(self):
         for n in (1, 157, 500, 2000):
-            pcm = analyze(make_clip(n, seed=n), CodecKind.PCM, CFG)
-            ulaw = analyze(make_clip(n, seed=n), CodecKind.ULAW, CFG)
+            pcm = encode(make_clip(n, seed=n), CodecKind.PCM, CFG)[1]
+            ulaw = encode(make_clip(n, seed=n), CodecKind.ULAW, CFG)[1]
             assert pcm.char_count == 2 * ulaw.char_count
 
     def test_counts_monotone_in_clip_length(self):
@@ -67,7 +62,7 @@ class TestAnalyze:
         prev = (0, 0, 0)
         for n in (0, 300, 600, 900, 1200):
             clip = pcm_clip(base.samples[:n], base.sample_rate_hz, base.bit_depth)
-            r = analyze(clip, CodecKind.PCM, CFG)
+            r = encode(clip, CodecKind.PCM, CFG)[1]
             now = (r.char_count, r.message_count, r.connected_count)
             assert all(a <= b for a, b in zip(prev, now))
             prev = now
@@ -75,7 +70,7 @@ class TestAnalyze:
     def test_overflow_carries_char_count(self):
         clip = make_clip(80000, seed=1)  # 160,000 PCM chars > 157,000 cap
         with pytest.raises(SegmentOverflow) as info:
-            analyze(clip, CodecKind.PCM, CFG)
+            encode(clip, CodecKind.PCM, CFG)
         assert info.value.char_count == 160000
         assert info.value.segments_packed == 1000
 
@@ -88,7 +83,7 @@ class TestCompare:
     def test_matches_individual_analyze(self):
         clip = make_clip(321, seed=4)
         [row] = compare(clip, [CodecKind.TOY_COMPRESSED], CFG)
-        assert row == analyze(clip, CodecKind.TOY_COMPRESSED, CFG)
+        assert row == encode(clip, CodecKind.TOY_COMPRESSED, CFG)[1]
 
     def test_requires_a_codec(self):
         with pytest.raises(ValueError):

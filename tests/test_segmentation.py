@@ -10,10 +10,12 @@ from voicesms import (
     SegmentationConfig,
     SegmentOverflow,
     connected_group_count,
+    join_lines,
     point_cost,
     render_segment,
     render_segments_file,
     segment,
+    split_lines,
 )
 
 
@@ -142,6 +144,27 @@ class TestRendering:
             Segment(-1, "A")
         with pytest.raises(ValueError):
             Segment(1000, "A")
+
+
+class TestLineFraming:
+    @pytest.mark.parametrize("text, lines", [
+        ("", []),
+        ("a", ["a"]),
+        ("a\n", ["a"]),
+        ("a\n\n", ["a", ""]),
+        ("000A\u0085B\n001C", ["000A\u0085B", "001C"]),
+    ])
+    def test_split_examples(self, text, lines):
+        assert split_lines(text) == lines
+
+    def test_join_terminates_every_line(self):
+        assert join_lines([]) == ""
+        assert join_lines(["a", "", "b"]) == "a\n\nb\n"
+
+    @given(st.lists(st.text().filter(lambda line: "\n" not in line), max_size=20))
+    @settings(max_examples=200)
+    def test_split_inverts_join(self, lines):
+        assert split_lines(join_lines(lines)) == lines
 
 
 class TestConnectedCount:

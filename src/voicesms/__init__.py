@@ -42,6 +42,7 @@ from .reassembly import (
 )
 from .segmentation import (
     DEFAULT_CAPACITY,
+    DEFAULT_GROUP_SIZE,
     CostModel,
     Segment,
     SegmentationConfig,

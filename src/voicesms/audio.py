@@ -28,12 +28,19 @@ from .errors import (
 )
 
 DEFAULT_DECIMATION = 4
+# largest data chunk whose RIFF size (36 + data + pad byte) fits in 32 bits
+MAX_DATA_BYTES = (0xFFFFFFFF - 36) & ~1
 
 
 class CodecKind(enum.Enum):
     PCM = "pcm"
     ULAW = "ulaw"
     TOY_COMPRESSED = "toy"
+
+
+def _check_data_size(n: int) -> None:
+    if n > MAX_DATA_BYTES:
+        raise ValueError(f"{n} bytes of audio exceed the {MAX_DATA_BYTES}-byte WAV data chunk limit")
 
 
 @dataclass(frozen=True)
@@ -48,6 +55,7 @@ class AudioClip:
     def __post_init__(self):
         # via memoryview, so a list of sample ints is refused, not read as bytes
         object.__setattr__(self, "data", bytes(memoryview(self.data)))
+        _check_data_size(len(self.data))
         if self.bit_depth == 16 and len(self.data) % 2:
             raise LengthMismatch(f"odd byte count {len(self.data)} for 16-bit samples")
         if self.sample_rate_hz <= 0:
@@ -233,6 +241,7 @@ def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,
     if kind is CodecKind.PCM:
         return AudioClip(sample_rate_hz, bit_depth, stream)
     stride = 2 * _hold(kind, decimation)
+    _check_data_size(stride * len(stream))  # before allocating it
     data = bytearray(stride * len(stream))
     low, high = stream.translate(_ULAW_LOW), stream.translate(_ULAW_HIGH)
     for tick in range(0, stride, 2):

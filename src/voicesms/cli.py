@@ -23,6 +23,7 @@ from .payload import codepoints_to_bytes
 from .reassembly import ReassemblyPolicy, parse_segments_file, reassemble
 from .segmentation import (
     DEFAULT_CAPACITY,
+    DEFAULT_GROUP_SIZE,
     CostModel,
     SegmentationConfig,
     join_lines,
@@ -76,7 +77,7 @@ def _add_segmentation_flags(parser):
                         help="payload cost units per message (default: %(default)s)")
     parser.add_argument("--cost", choices=[m.value for m in CostModel], default="uniform",
                         help="payload cost model (default: %(default)s)")
-    parser.add_argument("--group", type=int, default=3, metavar="N",
+    parser.add_argument("--group", type=int, default=DEFAULT_GROUP_SIZE, metavar="N",
                         help="messages per connected group (default: %(default)s)")
 
 
@@ -201,7 +202,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_stats(args) -> int:
     clip = read_wav(_read_bytes(args.in_path))
-    kinds = [CodecKind(name) for name in (args.codecs or ["pcm", "ulaw", "toy"])]
+    kinds = [CodecKind(name) for name in args.codecs] if args.codecs else list(CodecKind)
     reports = compare(clip, kinds, _segmentation_config(args), args.decimation)
     sys.stdout.write(render_csv(reports) if args.csv else render_table(reports))
     return 0

@@ -2,28 +2,30 @@
 
 Each segment renders as three zero-padded decimal digits (the index,
 000..999) followed by its payload characters, so a 160-character message
-leaves 157 characters of payload; that is the default capacity. Packing is
-greedy: every segment except possibly the last takes the longest prefix
-whose cost fits the capacity. Under the WIDE cost model the shifted points
-(>= 256) cost 2 units -- a rough stand-in for transports that bill wide
-characters double -- and a 2-unit point is never split across segments.
+leaves 157 characters of payload; that is the default capacity. Under the
+WIDE cost model the shifted points (>= 256) cost 2 units -- a rough
+stand-in for transports that bill wide characters double.
+
+Packing is greedy, with one loop for both cost models. The stream becomes
+a string of cost units: a point of cost k fills k units, itself and then
+k - 1 NUL fillers (NUL is never a payload point). Each segment takes the
+next ``capacity`` units, cut back to a point's start so that no point is
+split, and drops the fillers.
 
 Exhausting the 000-999 index space is a hard error; wrapping indices would
 silently scramble reassembly order.
 """
 
 import enum
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import CapacityTooSmall, SegmentOverflow
-from .payload import SHIFT, check_points
+from .payload import MAX_POINT, SHIFT, check_points
 
 MAX_INDEX = 999
 INDEX_DIGITS = 3
 DEFAULT_CAPACITY = 157  # 160-character SMS minus the 3-digit index
-_WIDE_FLOOR = chr(SHIFT)  # first character that costs 2 under WIDE
+DEFAULT_GROUP_SIZE = 3  # messages per connected group
 
 
 class CostModel(enum.Enum):
@@ -35,7 +37,7 @@ class CostModel(enum.Enum):
 class SegmentationConfig:
     capacity: int = DEFAULT_CAPACITY
     cost_model: CostModel = CostModel.UNIFORM
-    group_size: int = 3
+    group_size: int = DEFAULT_GROUP_SIZE
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -55,7 +57,11 @@ class Segment:
 
 
 def point_cost(point: str, model: CostModel) -> int:
-    return 2 if model is CostModel.WIDE and point >= _WIDE_FLOOR else 1
+    return 2 if model is CostModel.WIDE and ord(point) >= SHIFT else 1
+
+
+# str.translate table: each legal point -> its WIDE cost units
+_WIDE_UNITS = [chr(p) + "\0" * (point_cost(chr(p), CostModel.WIDE) - 1) for p in range(MAX_POINT + 1)]
 
 
 def segment(stream: str, cfg: SegmentationConfig) -> list[Segment]:
@@ -65,37 +71,27 @@ def segment(stream: str, cfg: SegmentationConfig) -> list[Segment]:
     no information, so nothing is sent.
     """
     check_points(stream)
-    n = len(stream)
-    if n == 0:
-        return []
     cap = cfg.capacity
-
-    if cfg.cost_model is CostModel.UNIFORM:
-        count = -(-n // cap)
-        if count > MAX_INDEX + 1:
-            raise SegmentOverflow(
-                f"stream of {n} points needs {count} segments; the index space holds {MAX_INDEX + 1}",
-                segments_packed=MAX_INDEX + 1, points_packed=(MAX_INDEX + 1) * cap, char_count=n)
-        return [Segment(i, stream[i * cap:(i + 1) * cap]) for i in range(count)]
-
-    # WIDE: prefix sums of per-point costs, then binary-search each cut
-    prefix = list(accumulate(2 if ch >= _WIDE_FLOOR else 1 for ch in stream))
-    segments: list[Segment] = []
-    start = 0
-    while start < n:
-        if len(segments) > MAX_INDEX:
-            raise SegmentOverflow(
-                f"stream of {n} points exceeds the {MAX_INDEX + 1}-segment index space",
-                segments_packed=MAX_INDEX + 1, points_packed=start, char_count=n)
-        consumed = prefix[start - 1] if start else 0
-        end = bisect_right(prefix, consumed + cap, lo=start)
+    units = stream.translate(_WIDE_UNITS) if cfg.cost_model is CostModel.WIDE else stream
+    payloads: list[str] = []  # the first MAX_INDEX + 1; later segments are only counted
+    count = start = 0
+    while start < len(units):
+        end = start + cap
+        while units.startswith("\0", end):
+            end -= 1
         if end == start:
             raise CapacityTooSmall(
-                f"point {ord(stream[start])} costs {point_cost(stream[start], cfg.cost_model)} "
+                f"point {ord(units[start])} costs {point_cost(units[start], cfg.cost_model)} "
                 f"under {cfg.cost_model.value}; capacity {cap} cannot hold it")
-        segments.append(Segment(len(segments), stream[start:end]))
+        if count <= MAX_INDEX:
+            payloads.append(units[start:end].replace("\0", ""))
+        count += 1
         start = end
-    return segments
+    if count > MAX_INDEX + 1:
+        raise SegmentOverflow(
+            f"stream of {len(stream)} points needs {count} segments; the index space holds {MAX_INDEX + 1}",
+            segments_packed=MAX_INDEX + 1, points_packed=sum(map(len, payloads)), char_count=len(stream))
+    return [Segment(i, payload) for i, payload in enumerate(payloads)]
 
 
 def render_segment(seg: Segment) -> str:
@@ -129,7 +125,7 @@ def render_segments_file(segments) -> str:
     return join_lines(render_segment(s) for s in segments)
 
 
-def connected_group_count(message_count: int, group_size: int = 3) -> int:
+def connected_group_count(message_count: int, group_size: int = DEFAULT_GROUP_SIZE) -> int:
     """Number of connected-message groups: ceil(message_count / group_size)."""
     if message_count < 0:
         raise ValueError(f"message count must be >= 0, got {message_count}")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voicesms.audio as audio
 from g711_ref import ref_decode_table, ref_encode, ref_error_bound
 from support import build_wav, clips, make_clip, pcm_clip
 from voicesms import (
@@ -107,6 +108,18 @@ class TestClipValidation:
         for rate, depth in (((1 << 31) - 1, 16), ((1 << 32) - 1, 8)):
             clip = pcm_clip([0], sample_rate=rate, bit_depth=depth)
             assert read_wav(write_wav(clip)) == clip
+
+    def test_data_limit_is_largest_chunk_the_riff_size_holds(self):
+        # write_wav stores 36 + data + pad byte in the 32-bit RIFF size field.
+        def riff_size(n):
+            return 36 + n + (n & 1)
+        assert riff_size(audio.MAX_DATA_BYTES) <= 0xFFFFFFFF < riff_size(audio.MAX_DATA_BYTES + 1)
+
+    def test_rejects_data_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(audio, "MAX_DATA_BYTES", 4)
+        assert AudioClip(sample_rate_hz=8000, bit_depth=8, data=bytes(4)).sample_count == 4
+        with pytest.raises(ValueError, match="data chunk limit"):
+            AudioClip(sample_rate_hz=8000, bit_depth=8, data=bytes(5))
 
     def test_samples_stored_as_tuple(self):
         clip = pcm_clip([1, 2])
@@ -294,6 +307,18 @@ class TestCodecs:
         assert stream == codec_encode(clip, CodecKind.ULAW)
         back = codec_decode(stream, CodecKind.ULAW, 8000, decimation=0)
         assert back == codec_decode(stream, CodecKind.ULAW, 8000)
+
+    def test_decode_refuses_audio_past_the_limit_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(audio, "MAX_DATA_BYTES", 12)
+        assert codec_decode(b"\xff" * 6, CodecKind.ULAW, 8000).sample_count == 6
+        assert codec_decode(b"\xff" * 2, CodecKind.TOY_COMPRESSED, 8000, decimation=3).sample_count == 6
+        def no_allocation(size):
+            raise AssertionError(f"allocated {size} bytes")
+        monkeypatch.setattr(audio, "bytearray", no_allocation, raising=False)
+        for stream, kind, decimation in ((b"\xff" * 7, CodecKind.ULAW, 1),
+                                         (b"\xff", CodecKind.TOY_COMPRESSED, 7)):
+            with pytest.raises(ValueError, match="data chunk limit"):
+                codec_decode(stream, kind, 8000, decimation=decimation)
 
     def test_bad_decimation_rejected(self):
         clip = make_clip(10)

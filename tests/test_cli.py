@@ -1,5 +1,6 @@
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -94,7 +95,7 @@ class TestDecode:
         )
         assert code == 0
         assert "rate=8000 samples=400 received=6 missing=- duplicates=0" == stdout.strip()
-        assert (tmp_path / "out.wav").read_bytes() == open(wav_path, "rb").read()
+        assert (tmp_path / "out.wav").read_bytes() == Path(wav_path).read_bytes()
 
     def test_loose_tolerates_gap(self, wav_path, tmp_path, capsys):
         seg_file = tmp_path / "segs.txt"
@@ -160,6 +161,21 @@ class TestDecode:
         assert stderr.count("\n") == 1
         assert not (tmp_path / "o.wav").exists()
 
+    def test_audio_past_the_wav_size_limit_reports_error(self, wav_path, tmp_path, capsys):
+        # 100 toy bytes held 2e9 ticks each would need 400 GB: refused before allocating.
+        seg_file = str(tmp_path / "segs.txt")
+        _, stdout, _ = run(capsys, "encode", "--in", wav_path, "--out", seg_file, "--codec", "toy")
+        assert stdout == "chars=100 messages=1 connected=1\n"
+        code, stdout, stderr = run(
+            capsys, "decode", "--in", seg_file, "--out", str(tmp_path / "o.wav"),
+            "--codec", "toy", "--decimation", "2000000000",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ValueError: ")
+        assert stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "segs.txt"]
+
 
 class TestSimulate:
     def make_segments(self, tmp_path, capsys, wav_path):
@@ -173,7 +189,7 @@ class TestSimulate:
         code, stdout, _ = run(capsys, "simulate", "--in", seg_file, "--out", str(out))
         assert code == 0
         assert stdout.strip() == "input=6 delivered=6 dropped=0 duplicated=0"
-        assert out.read_bytes() == open(seg_file, "rb").read()
+        assert out.read_bytes() == Path(seg_file).read_bytes()
 
     def test_total_loss_with_log(self, wav_path, tmp_path, capsys):
         seg_file = self.make_segments(tmp_path, capsys, wav_path)
@@ -263,7 +279,7 @@ class TestRoundtrip:
             capsys, "roundtrip", "--in", wav_path, "--out", str(out)
         )
         assert code == 0
-        assert out.read_bytes() == open(wav_path, "rb").read()
+        assert out.read_bytes() == Path(wav_path).read_bytes()
         summary_lines = stdout.splitlines()
         assert summary_lines[0] == "chars=800 messages=6 connected=2"
         assert summary_lines[1] == "input=6 delivered=6 dropped=0 duplicated=0"

@@ -20,12 +20,15 @@ from voicesms import (
 
 
 def ref_greedy(stream, capacity, model):
-    """Reference segmenter: cut exactly when the next point would not fit."""
+    """Reference segmenter: cut exactly when the next point would not fit.
+
+    Returns None when some point alone costs more than the capacity.
+    """
     chunks, current, used = [], [], 0
     for point in stream:
         cost = point_cost(point, model)
         if cost > capacity:
-            raise AssertionError("unpackable point in reference input")
+            return None
         if used + cost > capacity:
             chunks.append(current)
             current, used = [], 0
@@ -93,6 +96,21 @@ class TestSegmentation:
         with pytest.raises(SegmentOverflow):
             segment("A" * 2001, SegmentationConfig(capacity=2))
 
+    @pytest.mark.parametrize("stream, capacity, model, needed, packed", [
+        ("A" * 2001, 2, CostModel.UNIFORM, 1001, 2000),
+        (chr(256) * 1001, 2, CostModel.WIDE, 1001, 1000),
+        ("A\u0100" * 1500, 3, CostModel.WIDE, 1500, 2000),
+    ], ids=["uniform", "wide", "wide-mixed"])
+    def test_overflow_names_needed_count(self, stream, capacity, model, needed, packed):
+        cfg = SegmentationConfig(capacity=capacity, cost_model=model)
+        with pytest.raises(SegmentOverflow) as info:
+            segment(stream, cfg)
+        assert str(info.value) == (
+            f"stream of {len(stream)} points needs {needed} segments; the index space holds 1000")
+        assert info.value.segments_packed == 1000
+        assert info.value.points_packed == packed
+        assert info.value.char_count == len(stream)
+
     def test_exactly_thousand_segments_allowed(self):
         segs = segment("A" * 2000, SegmentationConfig(capacity=2))
         assert len(segs) == 1000
@@ -103,16 +121,26 @@ class TestSegmentation:
         with pytest.raises(CapacityTooSmall):
             segment("A\u0100", cfg)
 
+    def test_capacity_too_small_reported_before_overflow(self):
+        cfg = SegmentationConfig(capacity=1, cost_model=CostModel.WIDE)
+        with pytest.raises(CapacityTooSmall):
+            segment("A" * 1001 + chr(256), cfg)
+
     @given(
         payload_text(),
-        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=1, max_value=40),
         st.sampled_from(list(CostModel)),
     )
     @settings(max_examples=150)
     def test_matches_reference_greedy(self, stream, capacity, model):
         cfg = SegmentationConfig(capacity=capacity, cost_model=model)
+        expected = ref_greedy(stream, capacity, model)
+        if expected is None:
+            with pytest.raises(CapacityTooSmall):
+                segment(stream, cfg)
+            return
         segs = segment(stream, cfg)
-        assert [list(s.payload) for s in segs] == ref_greedy(stream, capacity, model)
+        assert [list(s.payload) for s in segs] == expected
         assert [s.index for s in segs] == list(range(len(segs)))
 
     @given(payload_text(), st.integers(2, 40))

@@ -31,7 +31,15 @@ from .errors import (
     UnsupportedFormat,
     VoiceSmsError,
 )
-from .metrics import CSV_HEADER, TransmissionReport, compare, encode, render_csv, render_table
+from .metrics import (
+    CSV_HEADER,
+    TransmissionReport,
+    compare,
+    decode,
+    encode,
+    render_csv,
+    render_table,
+)
 from .payload import bytes_to_codepoints, codepoints_to_bytes
 from .reassembly import (
     ReassemblyPolicy,

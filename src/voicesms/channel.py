@@ -109,7 +109,7 @@ def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[ChannelEvent
         outcome = Outcome.DUPLICATED if copies == 2 else Outcome.DELIVERED
         log.append(ChannelEvent(position, outcome, ticks))
         pending.extend((tick, position, copy, text) for copy, tick in enumerate(ticks))
-    pending.sort(key=lambda entry: entry[:3])
+    pending.sort()
     return [text for *_key, text in pending], log
 
 

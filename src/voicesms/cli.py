@@ -15,12 +15,11 @@ import os
 import sys
 import tempfile
 
-from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_decode, read_wav, write_wav
+from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, read_wav, write_wav
 from .channel import ChannelConfig, ChannelEvent, Outcome, render_channel_log, transmit
 from .errors import VoiceSmsError
-from .metrics import compare, encode, render_csv, render_table
-from .payload import codepoints_to_bytes
-from .reassembly import ReassemblyPolicy, parse_segments_file, reassemble
+from .metrics import compare, decode, encode, render_csv, render_table
+from .reassembly import ReassemblyPolicy, parse_segments_file
 from .segmentation import (
     DEFAULT_CAPACITY,
     DEFAULT_GROUP_SIZE,
@@ -167,9 +166,8 @@ def _simulate_text(text: str, args) -> tuple[str, list[ChannelEvent], str]:
 
 def _decode_text(text: str, args, rate: int, bits: int) -> tuple[AudioClip, str]:
     """Segments file text -> rebuilt clip, and the decode summary line."""
-    stream, report = reassemble(parse_segments_file(text), ReassemblyPolicy(args.policy))
-    clip = codec_decode(codepoints_to_bytes(stream), CodecKind(args.codec), rate, bits,
-                        args.decimation)
+    clip, report = decode(parse_segments_file(text), CodecKind(args.codec),
+                          ReassemblyPolicy(args.policy), rate, bits, args.decimation)
     summary = (f"rate={rate} samples={clip.sample_count} "
                f"received={len(report.received_indices)} "
                f"missing={_fmt_indices(report.missing_indices)} "

@@ -1,15 +1,18 @@
-"""The sender's side of the pipeline and its accounting: how many
-characters, messages, and connected messages a clip costs under each codec.
+"""Both ends of the pipeline, and the sender's accounting.
 
-Character count equals the codec's byte count (the payload mapping is one
-code point per byte), message count is the greedy segment count, and the
-connected count groups messages ``group_size`` at a time.
+``encode`` turns a clip into segments; ``decode`` is its inverse on
+whatever segments arrive. File framing stays with the caller on both sides.
+
+The accounting: character count equals the codec's byte count (the payload
+mapping is one code point per byte), message count is the greedy segment
+count, and the connected count groups messages ``group_size`` at a time.
 """
 
 from dataclasses import dataclass
 
-from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_encode
-from .payload import bytes_to_codepoints
+from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_decode, codec_encode
+from .payload import bytes_to_codepoints, codepoints_to_bytes
+from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
 from .segmentation import CostModel, Segment, SegmentationConfig, connected_group_count, segment
 
 
@@ -55,6 +58,22 @@ def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
         group_size=cfg.group_size,
         decimation=decimation if kind is CodecKind.TOY_COMPRESSED else None,
     )
+
+
+def decode(segments, kind: CodecKind, policy: ReassemblyPolicy, sample_rate_hz: int,
+           bit_depth: int = 16,
+           decimation: int = DEFAULT_DECIMATION) -> tuple[AudioClip, ReassemblyReport]:
+    """Run reassembly -> payload bytes -> codec; return the rebuilt clip and
+    the report of which indices arrived.
+
+    The inverse of :func:`encode`: ``segments`` are the ``Segment`` values
+    it returns or that ``parse_segments_file`` reads, in any order and with
+    duplicates. ``policy`` decides what a gap does; STRICT raises
+    :class:`MissingSegments`.
+    """
+    stream, report = reassemble(segments, policy)
+    clip = codec_decode(codepoints_to_bytes(stream), kind, sample_rate_hz, bit_depth, decimation)
+    return clip, report
 
 
 def compare(clip: AudioClip, kinds, cfg: SegmentationConfig,

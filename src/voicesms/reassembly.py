@@ -9,7 +9,7 @@ flag that with ``tail_unknown``, which is always true.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadIndex,
@@ -33,7 +33,7 @@ class ReassemblyReport:
     received_indices: tuple[int, ...]
     duplicate_count: int
     missing_indices: tuple[int, ...]  # gaps below the highest received index
-    tail_unknown: bool = field(default=True)
+    tail_unknown: bool = True
 
 
 def parse_segment(sms_text: str) -> Segment:

@@ -2,15 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import make_clip, pcm_clip
+from support import clips, make_clip, pcm_clip
 from voicesms import (
     CSV_HEADER,
     CodecKind,
     CostModel,
+    MissingSegments,
+    ReassemblyPolicy,
     SegmentationConfig,
     SegmentOverflow,
+    codec_decode,
+    codec_encode,
     compare,
+    decode,
     encode,
+    reassemble,
     render_csv,
     render_table,
 )
@@ -73,6 +79,44 @@ class TestAnalyze:
             encode(clip, CodecKind.PCM, CFG)
         assert info.value.char_count == 160000
         assert info.value.segments_packed == 1000
+
+
+def codec_and_clip():
+    """A codec with a clip it accepts: companded codecs need 16-bit audio."""
+    return st.sampled_from(list(CodecKind)).flatmap(lambda kind: st.tuples(
+        st.just(kind), clips(bit_depths=(8, 16) if kind is CodecKind.PCM else (16,))))
+
+
+class TestDecode:
+    @given(codec_and_clip(), st.integers(min_value=2, max_value=157),
+           st.sampled_from(list(CostModel)), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=80)
+    def test_inverts_encode(self, kind_clip, capacity, cost, decimation):
+        kind, clip = kind_clip
+        segments = encode(clip, kind, SegmentationConfig(capacity, cost), decimation)[0]
+        heard, report = decode(segments[::-1], kind, ReassemblyPolicy.STRICT,
+                               clip.sample_rate_hz, clip.bit_depth, decimation)
+        assert heard == codec_decode(codec_encode(clip, kind, decimation), kind,
+                                     clip.sample_rate_hz, clip.bit_depth, decimation)
+        if kind is CodecKind.PCM:
+            assert heard == clip
+        assert report.received_indices == tuple(range(len(segments)))
+        assert report.missing_indices == ()
+
+    def test_strict_refuses_a_gap(self):
+        segments = encode(make_clip(500, seed=1), CodecKind.ULAW, CFG)[0]
+        del segments[1]
+        with pytest.raises(MissingSegments) as info:
+            decode(segments, CodecKind.ULAW, ReassemblyPolicy.STRICT, 8000)
+        assert info.value.missing == (1,)
+
+    def test_loose_report_is_the_reassembly_report(self):
+        segments = encode(make_clip(800, seed=2), CodecKind.ULAW, CFG)[0]
+        arrived = [segments[4], segments[0], segments[2], segments[0]]
+        heard, report = decode(arrived, CodecKind.ULAW, ReassemblyPolicy.LOOSE, 8000)
+        assert report == reassemble(arrived, ReassemblyPolicy.LOOSE)[1]
+        assert (report.missing_indices, report.duplicate_count) == ((1, 3), 1)
+        assert heard.sample_count == 3 * CFG.capacity
 
 
 class TestCompare:

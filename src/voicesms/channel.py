@@ -23,9 +23,11 @@ Draw discipline per input message, in order:
      delivery_tick = input_position + (draw mod (max_extra_delay + 1))
 
 Deliveries are then sorted by (tick, input_position, copy number).
+
+The log is the ticks: one tuple per input message, in input order, holding
+its delivery ticks -- empty when dropped, two entries when duplicated.
 """
 
-import enum
 from dataclasses import dataclass
 
 _MASK64 = (1 << 64) - 1
@@ -58,12 +60,6 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-class Outcome(enum.Enum):
-    DELIVERED = "DELIVERED"
-    DROPPED = "DROPPED"
-    DUPLICATED = "DUPLICATED"
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     loss_probability: float = 0.0
@@ -80,41 +76,33 @@ class ChannelConfig:
             raise ValueError(f"max extra delay must be >= 0, got {self.max_extra_delay}")
 
 
-@dataclass(frozen=True)
-class ChannelEvent:
-    """What happened to one input message; ticks is empty for DROPPED and
-    has two entries for DUPLICATED."""
-
-    input_position: int
-    outcome: Outcome
-    ticks: tuple[int, ...]
-
-
-def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[ChannelEvent]]:
+def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[tuple[int, ...]]]:
     """Push messages through the impaired channel.
 
-    Returns the delivered texts in delivery order plus one log event per
-    input message. Content is never modified, only dropped, copied, or
-    displaced in time.
+    Returns the delivered texts in delivery order plus the log: for each
+    input message, the tuple of its delivery ticks. Content is never
+    modified, only dropped, copied, or displaced in time.
     """
     rng = SplitMix64(cfg.seed)
     pending: list[tuple[int, int, int, str]] = []  # (tick, position, copy, text)
-    log: list[ChannelEvent] = []
+    log: list[tuple[int, ...]] = []
     for position, text in enumerate(messages):
         if rng.next_unit() < cfg.loss_probability:
-            log.append(ChannelEvent(position, Outcome.DROPPED, ()))
+            log.append(())
             continue
         copies = 2 if rng.next_unit() < cfg.duplication_probability else 1
         ticks = tuple(position + rng.next_below(cfg.max_extra_delay + 1) for _ in range(copies))
-        outcome = Outcome.DUPLICATED if copies == 2 else Outcome.DELIVERED
-        log.append(ChannelEvent(position, outcome, ticks))
+        log.append(ticks)
         pending.extend((tick, position, copy, text) for copy, tick in enumerate(ticks))
     pending.sort()
     return [text for *_key, text in pending], log
 
 
+_OUTCOMES = ("DROPPED", "DELIVERED", "DUPLICATED")  # indexed by delivery count
+
+
 def render_channel_log(log) -> str:
     """Tab-separated trace: input_position, outcome, comma-joined ticks."""
     return "".join(
-        f"{event.input_position}\t{event.outcome.value}\t{','.join(map(str, event.ticks))}\n"
-        for event in log)
+        f"{position}\t{_OUTCOMES[len(ticks)]}\t{','.join(map(str, ticks))}\n"
+        for position, ticks in enumerate(log))

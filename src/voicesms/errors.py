@@ -36,13 +36,6 @@ class CapacityTooSmall(VoiceSmsError):
 class SegmentOverflow(VoiceSmsError):
     """Stream needs more parts than the 000-999 index space provides."""
 
-    def __init__(self, message: str, *, segments_packed: int | None = None,
-                 points_packed: int | None = None, char_count: int | None = None):
-        super().__init__(message)
-        self.segments_packed = segments_packed
-        self.points_packed = points_packed
-        self.char_count = char_count
-
 
 class TooShort(VoiceSmsError):
     """Received text is shorter than the 3-character index prefix."""

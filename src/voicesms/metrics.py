@@ -13,19 +13,16 @@ from dataclasses import dataclass
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_decode, codec_encode
 from .payload import bytes_to_codepoints, codepoints_to_bytes
 from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
-from .segmentation import CostModel, Segment, SegmentationConfig, connected_group_count, segment
+from .segmentation import Segment, SegmentationConfig, connected_group_count, segment
 
 
 @dataclass(frozen=True)
 class TransmissionReport:
     codec: CodecKind
+    config: SegmentationConfig  # the one the segments were packed under
     char_count: int
     message_count: int
     connected_count: int
-    capacity: int
-    cost_model: CostModel
-    group_size: int
-    decimation: int | None = None  # set for TOY_COMPRESSED only
 
 
 CSV_HEADER = "codec,chars,messages,connected,capacity,cost_model,group_size"
@@ -34,7 +31,7 @@ CSV_HEADER = "codec,chars,messages,connected,capacity,cost_model,group_size"
 def _row(r: TransmissionReport) -> list[str]:
     """The cells of one report, in ``CSV_HEADER`` order."""
     return [r.codec.value, str(r.char_count), str(r.message_count), str(r.connected_count),
-            str(r.capacity), r.cost_model.value, str(r.group_size)]
+            str(r.config.capacity), r.config.cost_model.value, str(r.config.group_size)]
 
 
 def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
@@ -43,20 +40,17 @@ def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
     the report tallying their three counts.
 
     Performs no transmission. A stream too long for the index space
-    propagates :class:`SegmentOverflow` carrying the counts known so far.
+    propagates :class:`SegmentOverflow`.
     """
     data = codec_encode(clip, kind, decimation)
     segments = segment(bytes_to_codepoints(data), cfg)
     message_count = len(segments)
     return segments, TransmissionReport(
         codec=kind,
+        config=cfg,
         char_count=len(data),
         message_count=message_count,
         connected_count=connected_group_count(message_count, cfg.group_size),
-        capacity=cfg.capacity,
-        cost_model=cfg.cost_model,
-        group_size=cfg.group_size,
-        decimation=decimation if kind is CodecKind.TOY_COMPRESSED else None,
     )
 
 

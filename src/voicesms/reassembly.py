@@ -4,8 +4,8 @@ payload text.
 Two policies: STRICT demands the full index run 0..max with no gaps; LOOSE
 plays whatever arrived, in index order, skipping holes -- the degraded
 audio simply jumps over the lost spans. The wire format carries no total
-count, so a lost tail is indistinguishable from a shorter message; reports
-flag that with ``tail_unknown``, which is always true.
+count, so a lost tail cannot be detected: it is indistinguishable from a
+shorter message, and no report can name it.
 """
 
 import enum
@@ -33,7 +33,6 @@ class ReassemblyReport:
     received_indices: tuple[int, ...]
     duplicate_count: int
     missing_indices: tuple[int, ...]  # gaps below the highest received index
-    tail_unknown: bool = True
 
 
 def parse_segment(sms_text: str) -> Segment:

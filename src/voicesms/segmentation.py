@@ -89,8 +89,7 @@ def segment(stream: str, cfg: SegmentationConfig) -> list[Segment]:
         start = end
     if count > MAX_INDEX + 1:
         raise SegmentOverflow(
-            f"stream of {len(stream)} points needs {count} segments; the index space holds {MAX_INDEX + 1}",
-            segments_packed=MAX_INDEX + 1, points_packed=sum(map(len, payloads)), char_count=len(stream))
+            f"stream of {len(stream)} points needs {count} segments; the index space holds {MAX_INDEX + 1}")
     return [Segment(i, payload) for i, payload in enumerate(payloads)]
 
 

@@ -205,6 +205,24 @@ class TestSimulate:
         assert len(log_lines) == 6
         assert all(line.split("\t")[1] == "DROPPED" for line in log_lines)
 
+    @pytest.mark.parametrize("channel", [
+        ("--dup", "1.0"),
+        ("--loss", ".3", "--dup", ".3", "--delay", "4", "--seed", "5"),
+    ], ids=["all-duplicated", "mixed"])
+    def test_summary_tallies_match_log(self, wav_path, tmp_path, capsys, channel):
+        seg_file = str(tmp_path / "segs.txt")
+        run(capsys, "encode", "--in", wav_path, "--out", seg_file, "--capacity", "10")
+        out, log = tmp_path / "d.txt", tmp_path / "log.txt"
+        code, stdout, _ = run(capsys, "simulate", "--in", seg_file, "--out", str(out),
+                              "--log", str(log), *channel)
+        assert code == 0
+        tallies = dict(field.split("=") for field in stdout.split())
+        outcomes = [line.split("\t")[1] for line in log.read_text(encoding="utf-8").splitlines()]
+        assert int(tallies["input"]) == len(outcomes) == 80
+        assert int(tallies["dropped"]) == outcomes.count("DROPPED")
+        assert int(tallies["duplicated"]) == outcomes.count("DUPLICATED") > 0
+        assert int(tallies["delivered"]) == len(read_segment_lines(out))
+
     def test_reruns_are_byte_identical(self, wav_path, tmp_path, capsys):
         seg_file = self.make_segments(tmp_path, capsys, wav_path)
         blobs = []

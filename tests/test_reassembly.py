@@ -99,7 +99,6 @@ class TestReassemble:
             assert report.received_indices == (0, 1, 2)
             assert report.missing_indices == ()
             assert report.duplicate_count == 0
-            assert report.tail_unknown
 
     def test_empty_input(self):
         stream, report = reassemble([], ReassemblyPolicy.STRICT)
@@ -122,7 +121,7 @@ class TestReassemble:
         # Nothing marks segment 3 as ever having existed.
         stream, report = reassemble([Segment(0, "A")], ReassemblyPolicy.STRICT)
         assert stream == "A"
-        assert report.tail_unknown
+        assert report.missing_indices == ()
 
     def test_duplicates_counted_once(self):
         segs = [Segment(0, "A"), Segment(0, "A"), Segment(0, "A")]

@@ -20,13 +20,11 @@ from .errors import (
     BadIndex,
     CapacityTooSmall,
     DuplicateMismatch,
-    IllegalPayloadPoint,
     InvalidCodePoint,
     LengthMismatch,
     MalformedContainer,
     MissingSegments,
     SegmentOverflow,
-    TooShort,
     UnsupportedCombination,
     UnsupportedFormat,
     VoiceSmsError,

@@ -18,6 +18,8 @@ survives a decode/encode round trip unchanged.
 
 import enum
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -68,13 +70,6 @@ class AudioClip:
     @property
     def sample_count(self) -> int:
         return len(self.data) // (self.bit_depth // 8)
-
-    @property
-    def samples(self) -> tuple[int, ...]:
-        """The signed sample values, unpacked from ``data`` on each read."""
-        if self.bit_depth == 16:
-            return struct.unpack(f"<{self.sample_count}h", self.data)
-        return tuple(b - 128 for b in self.data)
 
     def duration_seconds(self) -> float:
         return self.sample_count / self.sample_rate_hz
@@ -224,8 +219,10 @@ def codec_encode(clip: AudioClip, kind: CodecKind,
         return clip.data
     if clip.bit_depth != 16:
         raise UnsupportedCombination(f"{kind.value} requires a 16-bit clip, got {clip.bit_depth}-bit")
-    step = _hold(kind, decimation)
-    return bytes(ulaw_encode_sample(s >> 2) for s in clip.samples[::step])
+    samples = array("h", clip.data)
+    if sys.byteorder == "big":
+        samples.byteswap()  # data is little-endian
+    return bytes(ulaw_encode_sample(s >> 2) for s in samples[::_hold(kind, decimation)])
 
 
 def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,

@@ -64,11 +64,15 @@ def _fmt_indices(indices) -> str:
     return ",".join(map(str, indices)) if indices else "-"
 
 
+def _add_decimation_flag(parser):
+    parser.add_argument("--decimation", type=int, default=DEFAULT_DECIMATION, metavar="D",
+                        help="toy codec keeps every D-th sample (default: %(default)s)")
+
+
 def _add_codec_flags(parser):
     parser.add_argument("--codec", choices=_CODEC_NAMES, default="pcm",
                         help="audio codec (default: pcm)")
-    parser.add_argument("--decimation", type=int, default=DEFAULT_DECIMATION, metavar="D",
-                        help="toy codec keeps every D-th sample (default: %(default)s)")
+    _add_decimation_flag(parser)
 
 
 def _add_segmentation_flags(parser):
@@ -129,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--codec", action="append", choices=_CODEC_NAMES, dest="codecs",
                    help="codec to include; may repeat (default: pcm, ulaw, toy)")
-    p.add_argument("--decimation", type=int, default=DEFAULT_DECIMATION, metavar="D")
+    _add_decimation_flag(p)
     _add_segmentation_flags(p)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of the aligned table")
 

@@ -26,7 +26,7 @@ class LengthMismatch(VoiceSmsError):
 
 
 class InvalidCodePoint(VoiceSmsError):
-    """Code point lies outside the transmissible bands 32..255 and 256..287."""
+    """Payload character lies outside the transmissible range 32..287."""
 
 
 class CapacityTooSmall(VoiceSmsError):
@@ -37,16 +37,8 @@ class SegmentOverflow(VoiceSmsError):
     """Stream needs more parts than the 000-999 index space provides."""
 
 
-class TooShort(VoiceSmsError):
-    """Received text is shorter than the 3-character index prefix."""
-
-
 class BadIndex(VoiceSmsError):
-    """Index prefix is not three ASCII decimal digits."""
-
-
-class IllegalPayloadPoint(VoiceSmsError):
-    """Received payload contains a character outside the legal bands."""
+    """Received text does not start with three ASCII decimal digits."""
 
 
 class MissingSegments(VoiceSmsError):

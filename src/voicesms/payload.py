@@ -14,19 +14,19 @@ from .errors import InvalidCodePoint
 
 RESERVED_CEILING = 31  # highest byte value the transport refuses
 SHIFT = 256
-MIN_POINT = 32
-MAX_POINT = 287
+MIN_POINT = RESERVED_CEILING + 1
+MAX_POINT = SHIFT + RESERVED_CEILING
 
 # ALPHABET[b] is the character that carries byte b.
 ALPHABET = "".join(chr(b + SHIFT if b <= RESERVED_CEILING else b) for b in range(256))
 _ILLEGAL = re.compile(f"[^{chr(MIN_POINT)}-{chr(MAX_POINT)}]")
 
 
-def check_points(text: str, error: type[Exception] = InvalidCodePoint) -> None:
-    """Raise ``error`` naming the first character of ``text`` outside 32..287."""
+def check_points(text: str) -> None:
+    """Raise :class:`InvalidCodePoint` naming the first character of ``text`` outside 32..287."""
     match = _ILLEGAL.search(text)
     if match:
-        raise error(f"code point {ord(match.group())} outside the legal range {MIN_POINT}..{MAX_POINT}")
+        raise InvalidCodePoint(f"code point {ord(match.group())} outside the legal range {MIN_POINT}..{MAX_POINT}")
 
 
 def bytes_to_codepoints(data: bytes) -> str:

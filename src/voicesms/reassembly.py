@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from .errors import (
     BadIndex,
     DuplicateMismatch,
-    IllegalPayloadPoint,
     MissingSegments,
-    TooShort,
     VoiceSmsError,
 )
 from .payload import check_points
@@ -37,15 +35,11 @@ class ReassemblyReport:
 
 def parse_segment(sms_text: str) -> Segment:
     """Inverse of ``render_segment``, validating as it goes."""
-    if len(sms_text) < INDEX_DIGITS:
-        raise TooShort(f"text of {len(sms_text)} characters lacks the {INDEX_DIGITS}-digit index")
-    prefix = sms_text[:INDEX_DIGITS]
-    # isascii + isdigit admits exactly 0-9; bare isdigit would accept
-    # other Unicode digits
-    if not (prefix.isascii() and prefix.isdigit()):
+    prefix, payload = sms_text[:INDEX_DIGITS], sms_text[INDEX_DIGITS:]
+    # isascii + isdigit admits exactly 0-9, not other Unicode digits
+    if not (len(prefix) == INDEX_DIGITS and prefix.isascii() and prefix.isdigit()):
         raise BadIndex(f"index prefix {prefix!r} is not three decimal digits")
-    payload = sms_text[INDEX_DIGITS:]
-    check_points(payload, IllegalPayloadPoint)
+    check_points(payload)
     return Segment(int(prefix), payload)
 
 

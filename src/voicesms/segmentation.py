@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from .errors import CapacityTooSmall, SegmentOverflow
 from .payload import MAX_POINT, SHIFT, check_points
 
-MAX_INDEX = 999
 INDEX_DIGITS = 3
-DEFAULT_CAPACITY = 157  # 160-character SMS minus the 3-digit index
+MAX_INDEX = 10 ** INDEX_DIGITS - 1
+DEFAULT_CAPACITY = 160 - INDEX_DIGITS  # 160-character SMS minus the index
 DEFAULT_GROUP_SIZE = 3  # messages per connected group
 
 

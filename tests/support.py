@@ -35,6 +35,13 @@ def pcm_clip(samples, sample_rate=8000, bit_depth=16) -> AudioClip:
     return AudioClip(sample_rate_hz=sample_rate, bit_depth=bit_depth, data=data)
 
 
+def samples(clip: AudioClip) -> tuple[int, ...]:
+    """The clip's signed sample values, unpacked from its WAV data bytes."""
+    if clip.bit_depth == 16:
+        return struct.unpack(f"<{clip.sample_count}h", clip.data)
+    return tuple(b - 128 for b in clip.data)
+
+
 def make_clip(n, seed=0, sample_rate=8000, bit_depth=16) -> AudioClip:
     """Deterministic pseudo-speech clip: full-range uniform noise."""
     rng = random.Random(seed)

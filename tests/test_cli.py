@@ -127,14 +127,20 @@ class TestDecode:
         assert "MissingSegments" in stderr
         assert not (tmp_path / "o.wav").exists()
 
-    def test_parse_error_names_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, diagnostic", [
+        ("000AB\nxx\n", "error: BadIndex: line 2: index prefix 'xx' is not three decimal digits"),
+        ("000AB\n99\n", "error: BadIndex: line 2: index prefix '99' is not three decimal digits"),
+        ("000A\x05\n", "error: InvalidCodePoint: line 1: code point 5 outside the legal range 32..287"),
+    ], ids=["letters", "short", "control"])
+    def test_parse_error_names_line(self, tmp_path, capsys, text, diagnostic):
         seg_file = tmp_path / "segs.txt"
-        seg_file.write_text("000AB\nxx\n", encoding="utf-8")
+        seg_file.write_text(text, encoding="utf-8")
         code, _, stderr = run(
             capsys, "decode", "--in", str(seg_file), "--out", str(tmp_path / "o.wav")
         )
         assert code == 1
-        assert "line 2" in stderr
+        assert stderr.splitlines() == [diagnostic]
+        assert not (tmp_path / "o.wav").exists()
 
     def test_eight_bit_pcm(self, tmp_path, capsys):
         src = tmp_path / "eight.wav"
@@ -316,7 +322,7 @@ class TestRoundtrip:
         assert lines[0] == "chars=400 messages=3 connected=1"
         assert lines[1] == "input=3 delivered=1 dropped=2 duplicated=0"
         assert lines[2] == "rate=8000 samples=157 received=1 missing=0 duplicates=0"
-        assert len(read_wav(out.read_bytes()).samples) == 157
+        assert read_wav(out.read_bytes()).sample_count == 157
 
     def test_strict_over_lossy_channel_fails(self, wav_path, tmp_path, capsys):
         code, _, stderr = run(

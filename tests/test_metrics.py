@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import clips, make_clip, pcm_clip
+from support import clips, make_clip, pcm_clip, samples
 from voicesms import (
     CSV_HEADER,
     CodecKind,
@@ -62,7 +62,7 @@ class TestAnalyze:
         base = make_clip(1200, seed=2)
         prev = (0, 0, 0)
         for n in (0, 300, 600, 900, 1200):
-            clip = pcm_clip(base.samples[:n], base.sample_rate_hz, base.bit_depth)
+            clip = pcm_clip(samples(base)[:n], base.sample_rate_hz, base.bit_depth)
             r = encode(clip, CodecKind.PCM, CFG)[1]
             now = (r.char_count, r.message_count, r.connected_count)
             assert all(a <= b for a, b in zip(prev, now))

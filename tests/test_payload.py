@@ -3,11 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voicesms import (
-    IllegalPayloadPoint,
+    CodecKind,
     InvalidCodePoint,
+    ReassemblyPolicy,
+    Segment,
     SegmentationConfig,
     bytes_to_codepoints,
     codepoints_to_bytes,
+    decode,
     parse_segment,
     segment,
 )
@@ -80,5 +83,7 @@ def test_every_stage_rejects_an_illegal_point(bad):
         segment(text, SegmentationConfig())
     with pytest.raises(InvalidCodePoint):
         codepoints_to_bytes(text)
-    with pytest.raises(IllegalPayloadPoint):
+    with pytest.raises(InvalidCodePoint):
         parse_segment("000" + text)
+    with pytest.raises(InvalidCodePoint):
+        decode([Segment(0, text)], CodecKind.PCM, ReassemblyPolicy.LOOSE, 8000)

@@ -6,12 +6,11 @@ from support import payload_text
 from voicesms import (
     BadIndex,
     DuplicateMismatch,
-    IllegalPayloadPoint,
+    InvalidCodePoint,
     MissingSegments,
     ReassemblyPolicy,
     Segment,
     SegmentationConfig,
-    TooShort,
     parse_segment,
     parse_segments_file,
     reassemble,
@@ -41,7 +40,7 @@ class TestParseSegment:
 
     @pytest.mark.parametrize("text", ["", "0", "99"])
     def test_too_short(self, text):
-        with pytest.raises(TooShort):
+        with pytest.raises(BadIndex):
             parse_segment(text)
 
     @pytest.mark.parametrize("text", ["0x2abc", "-12ab", " 01ab", "1.5ab"])
@@ -56,7 +55,7 @@ class TestParseSegment:
 
     @pytest.mark.parametrize("ch", [chr(0), chr(10), chr(31), chr(288), chr(1000)])
     def test_illegal_payload_point(self, ch):
-        with pytest.raises(IllegalPayloadPoint):
+        with pytest.raises(InvalidCodePoint):
             parse_segment("000A" + ch)
 
     @given(segments_strategy)
@@ -82,7 +81,7 @@ class TestParseSegmentsFile:
     def test_error_carries_line_number(self):
         with pytest.raises(BadIndex, match="line 2"):
             parse_segments_file("000A\nxyz!\n002C\n")
-        with pytest.raises(TooShort, match="line 3"):
+        with pytest.raises(BadIndex, match="line 3"):
             parse_segments_file("000A\n001B\n99\n")
 
     def test_preserves_arrival_order(self):

@@ -121,6 +121,15 @@ class TestClipValidation:
         with pytest.raises(ValueError, match="data chunk limit"):
             AudioClip(sample_rate_hz=8000, bit_depth=8, data=bytes(5))
 
+    def test_samples_stored_as_tuple(self):
+        # The clip keeps its samples as immutable little-endian data bytes,
+        # which read back as the tuple of values it was built from.
+        clip = pcm_clip([1, 2])
+        assert clip.data == b"\x01\x00\x02\x00"
+        assert samples(clip) == (1, 2)
+        assert isinstance(samples(clip), tuple)
+        assert clip.sample_count == 2
+
     def test_data_stored_as_bytes(self):
         clip = AudioClip(sample_rate_hz=8000, bit_depth=16, data=bytearray(b"\x01\x00\xff\xff"))
         assert type(clip.data) is bytes

@@ -11,12 +11,17 @@ Three codecs produce the byte stream that gets textualised and segmented:
 
 The u-law code operates on the 14-bit domain (-8192..8191). 16-bit samples
 are arithmetic-shifted right by 2 on the way in and left by 2 on the way
-out. Note the classic u-law quirk: the negative-zero octet 0x7F decodes to
-0 and therefore re-encodes as the canonical zero 0xFF; every other octet
-survives a decode/encode round trip unchanged.
+out. ``ulaw_encode_sample`` and ``ulaw_decode_sample`` are the scalar spec;
+the codecs apply it through tables built from it: encode looks each sample
+up in a 65,536-entry table built on first use, and decode maps the stream
+through two 256-byte tables built at import. Note the classic u-law quirk:
+the negative-zero octet 0x7F decodes to 0 and therefore re-encodes as the
+canonical zero 0xFF; every other octet survives a decode/encode round trip
+unchanged.
 """
 
 import enum
+import functools
 import struct
 import sys
 from array import array
@@ -209,6 +214,18 @@ def _hold(kind: CodecKind, decimation: int) -> int:
     raise ValueError(f"unknown codec {kind!r}")
 
 
+@functools.cache
+def _ulaw_encode_table() -> bytes:
+    """The u-law octet of every 16-bit sample, indexed by the sample read
+    as unsigned (``s & 0xFFFF``). Built on first use, not at import."""
+    # the 14-bit domain in unsigned order: 0..8191, then -8192..-1
+    low14 = bytes(map(ulaw_encode_sample, (*range(0x2000), *range(-0x2000, 0))))
+    table = bytearray(0x10000)
+    for low_bits in range(4):  # s >> 2 drops two bits: each octet four times
+        table[low_bits::4] = low14
+    return bytes(table)
+
+
 def codec_encode(clip: AudioClip, kind: CodecKind,
                  decimation: int = DEFAULT_DECIMATION) -> bytes:
     """Turn a clip into the byte stream that will ride inside messages.
@@ -219,10 +236,10 @@ def codec_encode(clip: AudioClip, kind: CodecKind,
         return clip.data
     if clip.bit_depth != 16:
         raise UnsupportedCombination(f"{kind.value} requires a 16-bit clip, got {clip.bit_depth}-bit")
-    samples = array("h", clip.data)
+    samples = array("H", clip.data)
     if sys.byteorder == "big":
         samples.byteswap()  # data is little-endian
-    return bytes(ulaw_encode_sample(s >> 2) for s in samples[::_hold(kind, decimation)])
+    return bytes(map(_ulaw_encode_table().__getitem__, samples[::_hold(kind, decimation)]))
 
 
 def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,

@@ -1,4 +1,10 @@
+import os
 import struct
+import subprocess
+import sys
+from array import array
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +311,47 @@ class TestCodecs:
         every = list(range(-32768, 32768))
         stream = codec_encode(pcm_clip(every), CodecKind.ULAW)
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in every]
+
+    def test_toy_encode_matches_scalar_spec_on_every_sample(self):
+        every = list(range(-32768, 32768))
+        stream = codec_encode(pcm_clip(every), CodecKind.TOY_COMPRESSED, decimation=3)
+        assert list(stream) == [ulaw_encode_sample(s >> 2) for s in every[::3]]
+
+    @pytest.mark.parametrize("kind", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
+    def test_other_host_byte_order_reads_data_as_little_endian(self, kind, monkeypatch):
+        clips = (make_clip(41, seed=5), pcm_clip([]), pcm_clip([-12345]))
+        native = [codec_encode(clip, kind) for clip in clips]
+        # a stand-in sys of the other byte order takes the branch this host skips
+        other = {"little": "big", "big": "little"}[sys.byteorder]
+        monkeypatch.setattr(audio, "sys", SimpleNamespace(byteorder=other))
+        for clip, expected in zip(clips, native):
+            swapped = array("h", clip.data)
+            swapped.byteswap()  # read here, gives what that host reads from clip.data
+            assert codec_encode(AudioClip(8000, 16, swapped.tobytes()), kind) == expected
+
+    @pytest.mark.parametrize("kind", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
+    def test_empty_and_one_sample_clips(self, kind):
+        assert codec_encode(pcm_clip([]), kind) == b""
+        assert codec_encode(pcm_clip([-12345]), kind) == bytes([ulaw_encode_sample(-12345 >> 2)])
+
+    def test_encode_table_not_built_at_import(self):
+        probe = "import voicesms.cli, voicesms.audio as a; print(a._ulaw_encode_table.cache_info())"
+        env = {**os.environ, "PYTHONPATH": str(Path(audio.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert "currsize=0" in proc.stdout
+
+    @pytest.mark.parametrize("first", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
+    def test_encode_table_built_once_on_first_companded_encode(self, first):
+        table = audio._ulaw_encode_table
+        table.cache_clear()
+        clip = make_clip(10)
+        codec_encode(clip, CodecKind.PCM)
+        assert table.cache_info().misses == 0
+        codec_encode(clip, first)
+        for kind in CodecKind:
+            codec_encode(clip, kind)
+        assert (table.cache_info().misses, table.cache_info().hits) == (1, 2)
 
     def test_ulaw_ignores_decimation(self):
         clip = make_clip(10)

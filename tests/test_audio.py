@@ -31,6 +31,25 @@ from voicesms import (
 REF_TABLE = ref_decode_table()
 
 
+def fmt16(rate=8000, byte_rate=16000, block_align=2) -> bytes:
+    """A 16-bit mono linear PCM fmt chunk body."""
+    return struct.pack("<HHIIHH", 1, 1, rate, byte_rate, block_align, 16)
+
+
+FMT16 = fmt16()
+DATA4 = b"\x01\x00\x02\x00"  # two 16-bit samples: 1, 2
+
+
+def chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+
+
+def riff(*chunks: bytes) -> bytes:
+    """A WAVE container whose RIFF size matches what follows it."""
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 class TestUlawSamples:
     def test_matches_reference_encoder_exhaustively(self):
         for linear in range(-8192, 8192):
@@ -195,7 +214,7 @@ class TestWavContainer:
             (lambda b: b"JUNK" + b[4:], MalformedContainer),
             (lambda b: b[:8] + b"EVAW" + b[12:], MalformedContainer),
             (lambda b: b[:4] + struct.pack("<I", 5) + b[8:], MalformedContainer),
-            # fmt chunk truncated mid-header
+            # cut after the fmt chunk header; the RIFF size check catches it first
             (lambda b: b[:20], MalformedContainer),
             # compression code 2 (ADPCM) is not linear PCM
             (lambda b: b[:20] + struct.pack("<H", 2) + b[22:], UnsupportedFormat),
@@ -208,6 +227,35 @@ class TestWavContainer:
         blob = mangle(build_wav([1, 2, 3, 4]))
         with pytest.raises(exc):
             read_wav(blob)
+
+    @pytest.mark.parametrize("container, fragment", [
+        # the fmt chunk cut mid-header, then mid-body
+        (riff(b"fmt \x10\x00"), "truncated chunk header"),
+        (riff(b"fmt " + struct.pack("<I", 16) + FMT16[:10]), "chunk b'fmt ' overruns the container"),
+        (riff(chunk(b"fmt ", FMT16), chunk(b"fmt ", FMT16), chunk(b"data", DATA4)),
+         "duplicate fmt chunk"),
+        (riff(chunk(b"fmt ", FMT16), chunk(b"data", DATA4), chunk(b"data", DATA4)),
+         "duplicate data chunk"),
+        (riff(chunk(b"data", DATA4)), "missing fmt chunk"),
+        (riff(chunk(b"fmt ", FMT16[:14]), chunk(b"data", DATA4)), "fmt chunk of 14 bytes is too short"),
+        (riff(chunk(b"fmt ", fmt16(rate=0, byte_rate=0)), chunk(b"data", DATA4)), "zero sample rate"),
+        (riff(chunk(b"fmt ", fmt16(block_align=4)), chunk(b"data", DATA4)),
+         "block align 4 inconsistent with 16-bit mono"),
+        (riff(chunk(b"fmt ", fmt16(byte_rate=8000)), chunk(b"data", DATA4)),
+         "byte rate 8000 inconsistent with 8000 Hz 16-bit mono"),
+        (riff(chunk(b"fmt ", FMT16), chunk(b"data", DATA4[:3])),
+         "data chunk of 3 bytes is not whole 16-bit samples"),
+    ], ids=["truncated-header", "overrun", "duplicate-fmt", "duplicate-data", "missing-fmt",
+            "short-fmt", "zero-rate", "block-align", "byte-rate", "partial-sample"])
+    def test_each_chunk_check_names_its_fault(self, container, fragment):
+        # The RIFF size matches in every case, so the check named is the one reached.
+        with pytest.raises(MalformedContainer) as caught:
+            read_wav(container)
+        assert caught.type is MalformedContainer
+        assert fragment in str(caught.value)
+
+    def test_chunk_builder_makes_a_valid_container(self):
+        assert samples(read_wav(riff(chunk(b"fmt ", FMT16), chunk(b"data", DATA4)))) == (1, 2)
 
     def test_missing_data_chunk(self):
         blob = build_wav([])

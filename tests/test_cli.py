@@ -1,4 +1,6 @@
+import errno
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 
 from support import make_clip
 from voicesms import read_wav, write_wav
-from voicesms.cli import main
+from voicesms.cli import build_parser, main
 
 
 @pytest.fixture
@@ -384,11 +386,12 @@ def test_no_temp_droppings_after_failure(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["broken.wav"]
 
 
-def test_outputs_get_normal_permissions(wav_path, tmp_path, capsys):
-    # Outputs get the mode open() would give them, not mkstemp's 0600.
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_get_normal_permissions(wav_path, tmp_path, capsys, umask, mode):
+    # Outputs get the mode open() would give them under the process umask.
     outputs = [tmp_path / name for name in ("segs.txt", "got.txt", "log.txt", "o.wav", "rt.wav")]
     segs, got, log, wav, rt = map(str, outputs)
-    old = os.umask(0o022)
+    old = os.umask(umask)
     try:
         assert run(capsys, "encode", "--in", wav_path, "--out", segs)[0] == 0
         assert run(capsys, "simulate", "--in", segs, "--out", got, "--log", log)[0] == 0
@@ -396,4 +399,80 @@ def test_outputs_get_normal_permissions(wav_path, tmp_path, capsys):
         assert run(capsys, "roundtrip", "--in", wav_path, "--out", rt)[0] == 0
     finally:
         os.umask(old)
-    assert [stat.S_IMODE(p.stat().st_mode) for p in outputs] == [0o644] * len(outputs)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in outputs] == [mode] * len(outputs)
+
+
+def assert_failed_cleanly(result, tmp_path, exc_name):
+    """One error line, nothing on stdout, and no temp file left beside the target."""
+    code, stdout, stderr = result
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(f"error: {exc_name}: ") and stderr.count("\n") == 1
+    assert not list(tmp_path.glob(".voicesms-*"))
+
+
+def test_out_naming_a_directory_fails_after_the_temp_file(wav_path, tmp_path, capsys):
+    # The temp file is written in full; os.replace then refuses to put it over a directory.
+    target = tmp_path / "outdir"
+    target.mkdir()
+    (target / "kept.txt").write_bytes(b"kept")
+    result = run(capsys, "encode", "--in", wav_path, "--out", str(target))
+    assert_failed_cleanly(result, tmp_path, "IsADirectoryError")
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
+
+
+def test_failed_fsync_keeps_the_existing_output(wav_path, tmp_path, capsys, monkeypatch):
+    target = tmp_path / "segs.txt"
+    target.write_bytes(b"old\n")
+
+    def fail(fd):
+        raise OSError(errno.EIO, "fsync failed")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    result = run(capsys, "encode", "--in", wav_path, "--out", str(target))
+    assert_failed_cleanly(result, tmp_path, "OSError")
+    assert target.read_bytes() == b"old\n"
+
+
+# Each subcommand's long options in help order, and what parse_args fills in
+# when only the required paths are given.
+CONTRACT = {
+    "encode": ("--in --out --codec --decimation --capacity --cost --group",
+               dict(codec="pcm", decimation=4, capacity=157, cost="uniform", group=3)),
+    "decode": ("--in --out --codec --decimation --policy --rate --bits",
+               dict(codec="pcm", decimation=4, policy="loose", rate=8000, bits=16)),
+    "simulate": ("--in --out --loss --dup --delay --seed --log",
+                 dict(loss=0.0, dup=0.0, delay=0, seed=0, log_path=None)),
+    "stats": ("--in --codec --decimation --capacity --cost --group --csv",
+              dict(codecs=None, decimation=4, capacity=157, cost="uniform", group=3, csv=False)),
+    "roundtrip": ("--in --out --codec --decimation --capacity --cost --group "
+                  "--loss --dup --delay --seed --policy",
+                  dict(codec="pcm", decimation=4, capacity=157, cost="uniform", group=3,
+                       loss=0.0, dup=0.0, delay=0, seed=0, policy="loose")),
+}
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as caught:
+        main([*argv, "--help"])
+    assert caught.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_top_level_help_lists_the_commands_in_order(capsys):
+    assert "{encode,decode,simulate,stats,roundtrip}" in help_text(capsys)
+
+
+@pytest.mark.parametrize("command", CONTRACT)
+def test_subcommand_flags_and_defaults(command, capsys):
+    # Only the option names and their order are pinned: argparse's help
+    # layout differs between Python versions.
+    usage = help_text(capsys, command).split("\n\n")[0]
+    flags, defaults = CONTRACT[command]
+    flags = flags.split()
+    assert re.findall(r"--[a-z]+", usage) == flags
+    expected = {"command": command, "in_path": "i", **defaults}
+    argv = [command, "--in", "i"]
+    if "--out" in flags:
+        argv += ["--out", "o"]
+        expected["out_path"] = "o"
+    assert vars(build_parser().parse_args(argv)) == expected

@@ -386,9 +386,8 @@ def test_no_temp_droppings_after_failure(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["broken.wav"]
 
 
-@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
-def test_outputs_get_normal_permissions(wav_path, tmp_path, capsys, umask, mode):
-    # Outputs get the mode open() would give them under the process umask.
+def output_modes(wav_path, tmp_path, capsys, umask):
+    """The modes of every command's outputs, written under ``umask``."""
     outputs = [tmp_path / name for name in ("segs.txt", "got.txt", "log.txt", "o.wav", "rt.wav")]
     segs, got, log, wav, rt = map(str, outputs)
     old = os.umask(umask)
@@ -399,7 +398,17 @@ def test_outputs_get_normal_permissions(wav_path, tmp_path, capsys, umask, mode)
         assert run(capsys, "roundtrip", "--in", wav_path, "--out", rt)[0] == 0
     finally:
         os.umask(old)
-    assert [stat.S_IMODE(p.stat().st_mode) for p in outputs] == [mode] * len(outputs)
+    return [stat.S_IMODE(p.stat().st_mode) for p in outputs]
+
+
+def test_outputs_get_normal_permissions(wav_path, tmp_path, capsys):
+    # Outputs get the mode open() would give them under the process umask.
+    assert output_modes(wav_path, tmp_path, capsys, 0o022) == [0o644] * 5
+
+
+def test_outputs_follow_a_strict_umask(wav_path, tmp_path, capsys):
+    # The umask is read, not assumed: 077 leaves the owner's bits only.
+    assert output_modes(wav_path, tmp_path, capsys, 0o077) == [0o600] * 5
 
 
 def assert_failed_cleanly(result, tmp_path, exc_name):

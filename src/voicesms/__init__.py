@@ -60,5 +60,3 @@ from .segmentation import (
     segment,
     split_lines,
 )
-
-__version__ = "0.1.0"

@@ -133,8 +133,7 @@ def read_wav(container: bytes) -> AudioClip:
         raise MalformedContainer(
             f"RIFF size {riff_size} does not match container payload {len(container) - 8}")
 
-    fmt_body = None
-    data_body = None
+    required = {b"fmt ": None, b"data": None}  # id -> its one body
     offset = 12
     while offset < len(container):
         if offset + 8 > len(container):
@@ -143,20 +142,16 @@ def read_wav(container: bytes) -> AudioClip:
         body = container[offset + 8:offset + 8 + chunk_size]
         if len(body) < chunk_size:
             raise MalformedContainer(f"chunk {chunk_id!r} overruns the container")
-        if chunk_id == b"fmt ":
-            if fmt_body is not None:
-                raise MalformedContainer("duplicate fmt chunk")
-            fmt_body = body
-        elif chunk_id == b"data":
-            if data_body is not None:
-                raise MalformedContainer("duplicate data chunk")
-            data_body = body
+        if chunk_id in required:
+            if required[chunk_id] is not None:
+                raise MalformedContainer(f"duplicate {chunk_id.decode().rstrip()} chunk")
+            required[chunk_id] = body
         offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
-    if fmt_body is None:
-        raise MalformedContainer("missing fmt chunk")
-    if data_body is None:
-        raise MalformedContainer("missing data chunk")
+    for chunk_id, body in required.items():
+        if body is None:
+            raise MalformedContainer(f"missing {chunk_id.decode().rstrip()} chunk")
+    fmt_body, data_body = required.values()
     if len(fmt_body) < 16:
         raise MalformedContainer(f"fmt chunk of {len(fmt_body)} bytes is too short")
 

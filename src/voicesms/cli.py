@@ -103,16 +103,21 @@ def _read_text(path: str) -> str:
 
 def _write_atomic(path: str, data: bytes) -> None:
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".voicesms-{os.urandom(8).hex()}")
-    handle = open(tmp, "xb")  # O_CREAT | O_EXCL, mode 0o666 less the umask
     try:
-        with handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        handle = open(tmp, "xb")  # O_CREAT | O_EXCL, mode 0o666 less the umask
+        try:
+            with handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from exc  # name the user's path
 
 
 def _segmentation_config(args) -> SegmentationConfig:
@@ -209,7 +214,3 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

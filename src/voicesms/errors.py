@@ -2,6 +2,9 @@
 
 The CLI maps any :class:`VoiceSmsError` to a one-line diagnostic naming the
 concrete subclass, so subclass names double as user-facing error cases.
+Every subclass is raised with its message alone and carries no other
+attribute, so a caller can rebuild one with a prefix:
+``type(exc)(f"line 3: {exc}")``.
 """
 
 
@@ -44,15 +47,6 @@ class BadIndex(VoiceSmsError):
 class MissingSegments(VoiceSmsError):
     """Strict reassembly found gaps in the received index sequence."""
 
-    def __init__(self, missing):
-        missing = tuple(sorted(missing))
-        super().__init__(f"missing segment indices: {list(missing)}")
-        self.missing = missing
-
 
 class DuplicateMismatch(VoiceSmsError):
     """Two received segments share an index but carry different payloads."""
-
-    def __init__(self, index: int):
-        super().__init__(f"segments with index {index} carry different payloads")
-        self.index = index

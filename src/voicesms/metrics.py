@@ -22,7 +22,10 @@ class TransmissionReport:
     config: SegmentationConfig  # the one the segments were packed under
     char_count: int
     message_count: int
-    connected_count: int
+
+    @property
+    def connected_count(self) -> int:
+        return connected_group_count(self.message_count, self.config.group_size)
 
 
 CSV_HEADER = "codec,chars,messages,connected,capacity,cost_model,group_size"
@@ -44,13 +47,11 @@ def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
     """
     data = codec_encode(clip, kind, decimation)
     segments = segment(bytes_to_codepoints(data), cfg)
-    message_count = len(segments)
     return segments, TransmissionReport(
         codec=kind,
         config=cfg,
         char_count=len(data),
-        message_count=message_count,
-        connected_count=connected_group_count(message_count, cfg.group_size),
+        message_count=len(segments),
     )
 
 
@@ -86,10 +87,8 @@ def render_csv(reports) -> str:
 
 def render_table(reports) -> str:
     """Aligned text table over the same columns as the CSV output."""
-    headers = CSV_HEADER.split(",")
-    rows = [_row(r) for r in reports]
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
+    rows = [CSV_HEADER.split(",")] + [_row(r) for r in reports]
+    widths = [max(map(len, column)) for column in zip(*rows)]
     def fmt(cells):
         return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-    return "\n".join([fmt(headers)] + [fmt(row) for row in rows]) + "\n"
+    return "\n".join(map(fmt, rows)) + "\n"

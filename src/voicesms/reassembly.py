@@ -3,9 +3,11 @@ payload text.
 
 Two policies: STRICT demands the full index run 0..max with no gaps; LOOSE
 plays whatever arrived, in index order, skipping holes -- the degraded
-audio simply jumps over the lost spans. The wire format carries no total
-count, so a lost tail cannot be detected: it is indistinguishable from a
-shorter message, and no report can name it.
+audio simply jumps over the lost spans. The report stores only what arrived
+and how many duplicates were dropped; the missing indices are derived from
+the received ones. The wire format carries no total count, so a lost tail
+cannot be detected: it is indistinguishable from a shorter message, and no
+report can name it.
 """
 
 import enum
@@ -30,7 +32,12 @@ class ReassemblyPolicy(enum.Enum):
 class ReassemblyReport:
     received_indices: tuple[int, ...]
     duplicate_count: int
-    missing_indices: tuple[int, ...]  # gaps below the highest received index
+
+    @property
+    def missing_indices(self) -> tuple[int, ...]:
+        """The gaps below the highest received index."""
+        received = set(self.received_indices)
+        return tuple(i for i in range(max(received, default=0)) if i not in received)
 
 
 def parse_segment(sms_text: str) -> Segment:
@@ -73,13 +80,9 @@ def reassemble(segments, policy: ReassemblyPolicy) -> tuple[str, ReassemblyRepor
         elif held.payload == seg.payload:
             duplicates += 1
         else:
-            raise DuplicateMismatch(seg.index)
+            raise DuplicateMismatch(f"segments with index {seg.index} carry different payloads")
 
-    received = sorted(first)
-    missing = tuple(i for i in range(received[-1] if received else 0) if i not in first)
-    if policy is ReassemblyPolicy.STRICT and missing:
-        raise MissingSegments(missing)
-
-    stream = "".join(first[i].payload for i in received)
-    report = ReassemblyReport(tuple(received), duplicates, missing)
-    return stream, report
+    report = ReassemblyReport(tuple(sorted(first)), duplicates)
+    if policy is ReassemblyPolicy.STRICT and report.missing_indices:
+        raise MissingSegments(f"missing segment indices: {list(report.missing_indices)}")
+    return "".join(first[i].payload for i in report.received_indices), report

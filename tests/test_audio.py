@@ -237,6 +237,7 @@ class TestWavContainer:
         (riff(chunk(b"fmt ", FMT16), chunk(b"data", DATA4), chunk(b"data", DATA4)),
          "duplicate data chunk"),
         (riff(chunk(b"data", DATA4)), "missing fmt chunk"),
+        (riff(chunk(b"fmt ", FMT16)), "missing data chunk"),
         (riff(chunk(b"fmt ", FMT16[:14]), chunk(b"data", DATA4)), "fmt chunk of 14 bytes is too short"),
         (riff(chunk(b"fmt ", fmt16(rate=0, byte_rate=0)), chunk(b"data", DATA4)), "zero sample rate"),
         (riff(chunk(b"fmt ", fmt16(block_align=4)), chunk(b"data", DATA4)),
@@ -246,7 +247,7 @@ class TestWavContainer:
         (riff(chunk(b"fmt ", FMT16), chunk(b"data", DATA4[:3])),
          "data chunk of 3 bytes is not whole 16-bit samples"),
     ], ids=["truncated-header", "overrun", "duplicate-fmt", "duplicate-data", "missing-fmt",
-            "short-fmt", "zero-rate", "block-align", "byte-rate", "partial-sample"])
+            "missing-data", "short-fmt", "zero-rate", "block-align", "byte-rate", "partial-sample"])
     def test_each_chunk_check_names_its_fault(self, container, fragment):
         # The RIFF size matches in every case, so the check named is the one reached.
         with pytest.raises(MalformedContainer) as caught:
@@ -419,6 +420,13 @@ class TestCodecs:
                                          (b"\xff", CodecKind.TOY_COMPRESSED, 7)):
             with pytest.raises(ValueError, match="data chunk limit"):
                 codec_decode(stream, kind, 8000, decimation=decimation)
+
+    def test_unknown_codec_rejected(self):
+        # the codec's value, not the enum member
+        with pytest.raises(ValueError, match="unknown codec 'ulaw'"):
+            codec_encode(make_clip(10), "ulaw")
+        with pytest.raises(ValueError, match="unknown codec 'ulaw'"):
+            codec_decode(b"\xff", "ulaw", 8000)
 
     def test_bad_decimation_rejected(self):
         clip = make_clip(10)

@@ -427,6 +427,16 @@ def test_out_naming_a_directory_fails_after_the_temp_file(wav_path, tmp_path, ca
     result = run(capsys, "encode", "--in", wav_path, "--out", str(target))
     assert_failed_cleanly(result, tmp_path, "IsADirectoryError")
     assert [p.name for p in target.iterdir()] == ["kept.txt"]
+    # the error names the target the user gave, not the temp file
+    assert result[2].endswith(f": {str(target)!r}\n") and ".voicesms-" not in result[2]
+
+
+def test_out_in_a_missing_directory_names_the_out_path(wav_path, tmp_path, capsys):
+    target = str(tmp_path / "nodir" / "segs.txt")
+    result = run(capsys, "encode", "--in", wav_path, "--out", target)
+    assert_failed_cleanly(result, tmp_path, "FileNotFoundError")
+    assert result[2] == (f"error: FileNotFoundError: [Errno {errno.ENOENT}] "
+                         f"{os.strerror(errno.ENOENT)}: {target!r}\n")
 
 
 def test_failed_fsync_keeps_the_existing_output(wav_path, tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from voicesms import (
     ReassemblyPolicy,
     SegmentationConfig,
     SegmentOverflow,
+    TransmissionReport,
     codec_decode,
     codec_encode,
     compare,
@@ -43,6 +44,10 @@ class TestAnalyze:
         cfg = SegmentationConfig(capacity=66, cost_model=CostModel.WIDE, group_size=5)
         report = encode(make_clip(40), CodecKind.ULAW, cfg)[1]
         assert report.config is cfg
+
+    def test_connected_derived_from_config(self):
+        report = TransmissionReport(CodecKind.ULAW, SegmentationConfig(group_size=4), 0, 9)
+        assert report.connected_count == 3
 
     @given(st.integers(min_value=0, max_value=3000))
     @settings(max_examples=60)
@@ -103,7 +108,7 @@ class TestDecode:
         del segments[1]
         with pytest.raises(MissingSegments) as info:
             decode(segments, CodecKind.ULAW, ReassemblyPolicy.STRICT, 8000)
-        assert info.value.missing == (1,)
+        assert str(info.value) == "missing segment indices: [1]"
 
     def test_loose_report_is_the_reassembly_report(self):
         segments = encode(make_clip(800, seed=2), CodecKind.ULAW, CFG)[0]

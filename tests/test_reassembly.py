@@ -1,7 +1,10 @@
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voicesms.errors
 from support import payload_text
 from voicesms import (
     BadIndex,
@@ -9,6 +12,7 @@ from voicesms import (
     InvalidCodePoint,
     MissingSegments,
     ReassemblyPolicy,
+    ReassemblyReport,
     Segment,
     SegmentationConfig,
     parse_segment,
@@ -24,6 +28,9 @@ segments_strategy = st.builds(
     index=st.integers(min_value=0, max_value=999),
     payload=payload_text(max_size=50),
 )
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(voicesms.errors, inspect.isclass)
+                 if issubclass(cls, voicesms.errors.VoiceSmsError)]
 
 
 class TestParseSegment:
@@ -84,6 +91,11 @@ class TestParseSegmentsFile:
         with pytest.raises(BadIndex, match="line 3"):
             parse_segments_file("000A\n001B\n99\n")
 
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_error_rebuilds_with_a_prefix(self, cls):
+        # parse_segments_file re-raises type(exc)(f"line N: {exc}"): the message is the whole error
+        assert str(cls("line 3: x")) == "line 3: x"
+
     def test_preserves_arrival_order(self):
         segs = parse_segments_file("005E\n001B\n003D\n")
         assert [s.index for s in segs] == [5, 1, 3]
@@ -114,7 +126,7 @@ class TestReassemble:
         segs = [Segment(0, "A"), Segment(2, "C")]
         with pytest.raises(MissingSegments) as info:
             reassemble(segs, ReassemblyPolicy.STRICT)
-        assert info.value.missing == (1,)
+        assert str(info.value) == "missing segment indices: [1]"
 
     def test_strict_cannot_see_lost_tail(self):
         # Nothing marks segment 3 as ever having existed.
@@ -132,12 +144,16 @@ class TestReassemble:
         segs = [Segment(4, "A"), Segment(4, "B")]
         with pytest.raises(DuplicateMismatch) as info:
             reassemble(segs, ReassemblyPolicy.LOOSE)
-        assert info.value.index == 4
+        assert str(info.value) == "segments with index 4 carry different payloads"
 
     def test_missing_sorted_ascending(self):
         segs = [Segment(9, "A"), Segment(3, "B"), Segment(7, "C")]
         _, report = reassemble(segs, ReassemblyPolicy.LOOSE)
         assert report.missing_indices == (0, 1, 2, 4, 5, 6, 8)
+
+    def test_missing_derived_from_received(self):
+        assert ReassemblyReport((0, 2, 5), 0).missing_indices == (1, 3, 4)
+        assert ReassemblyReport((), 0).missing_indices == ()
 
     @given(
         payload_text(max_size=600),

@@ -52,7 +52,6 @@ from .segmentation import (
     CostModel,
     Segment,
     SegmentationConfig,
-    connected_group_count,
     join_lines,
     point_cost,
     render_segment,

@@ -76,9 +76,6 @@ class AudioClip:
     def sample_count(self) -> int:
         return len(self.data) // (self.bit_depth // 8)
 
-    def duration_seconds(self) -> float:
-        return self.sample_count / self.sample_rate_hz
-
 
 # --- u-law companding (G.711, 14-bit domain) --------------------------------
 

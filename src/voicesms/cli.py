@@ -124,10 +124,6 @@ def _segmentation_config(args) -> SegmentationConfig:
     return SegmentationConfig(args.capacity, CostModel(args.cost), args.group)
 
 
-def _fmt_indices(indices) -> str:
-    return ",".join(map(str, indices)) if indices else "-"
-
-
 def _encode_text(clip: AudioClip, args) -> tuple[str, str]:
     """WAV clip -> segments file text, and the encode summary line."""
     segments, report = encode(clip, CodecKind(args.codec), _segmentation_config(args),
@@ -152,7 +148,7 @@ def _decode_text(text: str, args, rate: int, bits: int) -> tuple[AudioClip, str]
                           ReassemblyPolicy(args.policy), rate, bits, args.decimation)
     summary = (f"rate={rate} samples={clip.sample_count} "
                f"received={len(report.received_indices)} "
-               f"missing={_fmt_indices(report.missing_indices)} "
+               f"missing={','.join(map(str, report.missing_indices)) or '-'} "
                f"duplicates={report.duplicate_count}")
     return clip, summary
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_decode, codec_encode
 from .payload import bytes_to_codepoints, codepoints_to_bytes
 from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
-from .segmentation import Segment, SegmentationConfig, connected_group_count, segment
+from .segmentation import Segment, SegmentationConfig, segment
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,8 @@ class TransmissionReport:
 
     @property
     def connected_count(self) -> int:
-        return connected_group_count(self.message_count, self.config.group_size)
+        """ceil(message_count / group_size)"""
+        return -(-self.message_count // self.config.group_size)
 
 
 CSV_HEADER = "codec,chars,messages,connected,capacity,cost_model,group_size"

@@ -122,12 +122,3 @@ def render_segments_file(segments) -> str:
     contain LF or CR.
     """
     return join_lines(render_segment(s) for s in segments)
-
-
-def connected_group_count(message_count: int, group_size: int = DEFAULT_GROUP_SIZE) -> int:
-    """Number of connected-message groups: ceil(message_count / group_size)."""
-    if message_count < 0:
-        raise ValueError(f"message count must be >= 0, got {message_count}")
-    if group_size < 1:
-        raise ValueError(f"group size must be >= 1, got {group_size}")
-    return -(-message_count // group_size)

@@ -13,10 +13,6 @@ starts an instruction in some code object of each module
 any, or if the suite itself fails. The name has no ``test_`` prefix, so
 pytest does not collect it.
 
-Exempt:
-- ``__main__.py``, which runs only in ``test_module_entry_point``'s
-  subprocess, where this tracer is not installed.
-
 Deselected: the two wall-clock gates that a line tracer slows past their
 ceilings, ``test_c04_segmentation_round_trip_fuzz_under_10s`` and
 ``test_c06_ulaw_exhaustive_scan_under_100ms``. The plain tier-1 run still
@@ -33,7 +29,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "voicesms"
-EXEMPT = {"__main__.py"}
 DESELECT = ("tests/test_acceptance.py::test_c04_segmentation_round_trip_fuzz_under_10s",
             "tests/test_acceptance.py::test_c06_ulaw_exhaustive_scan_under_100ms")
 
@@ -78,7 +73,7 @@ def main() -> int:
         sys.settrace(None)
         threading.settrace(None)
     unrun = [f"{path.relative_to(ROOT)}:{line}"
-             for path in sorted(PACKAGE.glob("*.py")) if path.name not in EXEMPT
+             for path in sorted(PACKAGE.glob("*.py"))
              for line in sorted(executable_lines(path) - ran.get(str(path.resolve()), set()))]
     print("\n".join(unrun) if unrun else "line gate: every executable line ran")
     return 1 if unrun or status != 0 else 0

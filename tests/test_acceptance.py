@@ -22,11 +22,11 @@ from voicesms import (
     ReassemblyPolicy,
     SegmentationConfig,
     SegmentOverflow,
+    TransmissionReport,
     bytes_to_codepoints,
     codec_decode,
     codec_encode,
     codepoints_to_bytes,
-    connected_group_count,
     encode,
     parse_segments_file,
     point_cost,
@@ -81,14 +81,15 @@ def test_c01_payload_shift_bijection_under_1ms():
 def test_c02_connected_message_counts():
     expected = {25: 9, 23: 8, 3: 1, 85: 29, 71: 24, 16: 6, 241: 81}
     for messages, connected in expected.items():
-        assert connected_group_count(messages, 3) == connected, (
+        report = TransmissionReport(CodecKind.PCM, SegmentationConfig(group_size=3), 0, messages)
+        assert report.connected_count == connected, (
             f"{messages} messages -> expected {connected} connected"
         )
 
 
 def test_c03_ten_second_pcm_round_trip_under_1s():
     clip = make_clip(80_000, seed=33)  # 10 s at 8 kHz, 16-bit
-    assert clip.duration_seconds() == 10.0
+    assert clip.sample_count / clip.sample_rate_hz == 10.0
     # 160,000 PCM bytes at the default capacity would need 1020 indices,
     # so use capacity 160: exactly 1000 segments, still one SMS each.
     cfg = SegmentationConfig(capacity=160)
@@ -212,7 +213,7 @@ def test_c07_codec_ordering_for_second_long_clips():
     cfg = SegmentationConfig()
     for n in (8_000, 12_345, 20_000, 80_000):
         clip = make_clip(n, seed=n)
-        assert clip.duration_seconds() >= 1.0
+        assert clip.sample_count / clip.sample_rate_hz >= 1.0
         pcm = encode(clip, CodecKind.PCM, SegmentationConfig(capacity=160))[1]
         ulaw = encode(clip, CodecKind.ULAW, SegmentationConfig(capacity=160))[1]
         toy = encode(clip, CodecKind.TOY_COMPRESSED, SegmentationConfig(capacity=160),

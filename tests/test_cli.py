@@ -378,6 +378,18 @@ def test_module_entry_point(wav_path, tmp_path):
     assert proc.stdout.strip() == "chars=800 messages=6 connected=2"
 
 
+def test_module_entry_point_in_process(wav_path, tmp_path, capsys, monkeypatch):
+    import runpy
+    import sys
+
+    out = tmp_path / "o.txt"
+    monkeypatch.setattr(sys, "argv", ["voicesms", "encode", "--in", wav_path, "--out", str(out)])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("voicesms", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == "chars=800 messages=6 connected=2"
+
+
 def test_no_temp_droppings_after_failure(tmp_path, capsys):
     # A failed run leaves neither the output file nor any temp file behind.
     src = tmp_path / "broken.wav"

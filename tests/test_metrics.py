@@ -12,6 +12,7 @@ from voicesms import (
     SegmentationConfig,
     SegmentOverflow,
     TransmissionReport,
+    VoiceSmsError,
     codec_decode,
     codec_encode,
     compare,
@@ -81,6 +82,27 @@ class TestAnalyze:
             "stream of 160000 points needs 1020 segments; the index space holds 1000")
 
 
+def connected(messages, cfg=CFG):
+    return TransmissionReport(CodecKind.PCM, cfg, 0, messages).connected_count
+
+
+class TestConnectedCount:
+    @pytest.mark.parametrize(
+        "messages, connected_groups",
+        [(0, 0), (1, 1), (3, 1), (4, 2), (25, 9), (241, 81)],
+    )
+    def test_default_group_of_three(self, messages, connected_groups):
+        assert connected(messages) == connected_groups
+
+    def test_custom_group_size(self):
+        assert connected(10, SegmentationConfig(group_size=5)) == 2
+        assert connected(11, SegmentationConfig(group_size=5)) == 3
+
+    @given(st.integers(0, 100000), st.integers(1, 50))
+    def test_is_ceiling_division(self, n, g):
+        assert connected(n, SegmentationConfig(group_size=g)) == -(-n // g)
+
+
 def codec_and_clip():
     """A codec with a clip it accepts: companded codecs need 16-bit audio."""
     return st.sampled_from(list(CodecKind)).flatmap(lambda kind: st.tuples(
@@ -117,6 +139,25 @@ class TestDecode:
         assert report == reassemble(arrived, ReassemblyPolicy.LOOSE)[1]
         assert (report.missing_indices, report.duplicate_count) == ((1, 3), 1)
         assert heard.sample_count == 3 * CFG.capacity
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: loose skips each gap, so later samples move")
+    @pytest.mark.parametrize("kind", [CodecKind.PCM, CodecKind.ULAW])
+    def test_loose_keeps_samples_outside_gaps_aligned(self, kind):
+        """Under loose, a gap either raises or leaves every other sample in place."""
+        segments = encode(make_clip(8001, seed=5), kind, CFG)[0]
+        whole = samples(decode(segments, kind, ReassemblyPolicy.LOOSE, 8000)[0])
+        lost = [(i * CFG.capacity, (i + 1) * CFG.capacity) for i in (1, 5)]  # byte spans
+        width = 2 if kind is CodecKind.PCM else 1  # codec bytes per sample
+        try:
+            heard = decode([s for s in segments if s.index not in (1, 5)], kind,
+                           ReassemblyPolicy.LOOSE, 8000)[0]
+        except VoiceSmsError:
+            return
+        got = samples(heard)
+        kept = [i for i in range(len(whole))
+                if not any(a < (i + 1) * width and i * width < b for a, b in lost)]
+        assert len(got) == len(whole) and all(got[i] == whole[i] for i in kept)
 
 
 class TestCompare:

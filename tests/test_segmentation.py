@@ -9,7 +9,6 @@ from voicesms import (
     Segment,
     SegmentationConfig,
     SegmentOverflow,
-    connected_group_count,
     join_lines,
     point_cost,
     render_segment,
@@ -190,29 +189,6 @@ class TestLineFraming:
     @settings(max_examples=200)
     def test_split_inverts_join(self, lines):
         assert split_lines(join_lines(lines)) == lines
-
-
-class TestConnectedCount:
-    @pytest.mark.parametrize(
-        "messages, connected",
-        [(0, 0), (1, 1), (3, 1), (4, 2), (25, 9), (241, 81)],
-    )
-    def test_default_group_of_three(self, messages, connected):
-        assert connected_group_count(messages) == connected
-
-    def test_custom_group_size(self):
-        assert connected_group_count(10, group_size=5) == 2
-        assert connected_group_count(11, group_size=5) == 3
-
-    @given(st.integers(0, 100000), st.integers(1, 50))
-    def test_is_ceiling_division(self, n, g):
-        assert connected_group_count(n, group_size=g) == -(-n // g)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            connected_group_count(-1)
-        with pytest.raises(ValueError):
-            connected_group_count(5, group_size=0)
 
 
 class TestConfigValidation:

@@ -7,12 +7,15 @@ segments file through the impaired channel, ``decode`` rebuilds a WAV, and
 the per-codec accounting table. ``_FLAGS`` declares each flag once, and
 ``@_command`` declares each command on its body. A command reads its input,
 calls the library, writes its output and prints a one-line summary. Each
-output is created beside its target as ``open()`` creates a file, so the
-umask sets its mode, then renamed into place: a failed run leaves no
-partial file.
+output is created beside its target, a symlink's target if the path is a
+link, as ``open()`` creates a file, so the umask sets its mode, then
+renamed into place: a failed run leaves no partial file. The parser is
+built once per process, on first use, and each caller gets its own copy.
 """
 
 import argparse
+import copy
+import functools
 import os
 import sys
 
@@ -80,6 +83,16 @@ def _command(name: str, help_line: str, flags: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A parser of the caller's own, copied from the one built per process.
+
+    The copy shares that parser's actions and subparsers, which parsing only
+    reads; an attribute set on the copy stays on the copy.
+    """
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voicesms",
         description="Carry recorded voice across SMS-sized text messages.")
@@ -102,7 +115,12 @@ def _read_text(path: str) -> str:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".voicesms-{os.urandom(8).hex()}")
+    real = os.path.realpath(path)  # write through a symlink, not over it
+    # os.replace would put a regular file in place of a FIFO, a device or a
+    # symlink loop; a directory it refuses by itself, naming the path
+    if os.path.lexists(real) and not (os.path.isfile(real) or os.path.isdir(real)):
+        raise OSError(f"not a regular file: {path!r}")
+    tmp = os.path.join(os.path.dirname(real), f".voicesms-{os.urandom(8).hex()}")
     try:
         handle = open(tmp, "xb")  # O_CREAT | O_EXCL, mode 0o666 less the umask
         try:
@@ -110,7 +128,7 @@ def _write_atomic(path: str, data: bytes) -> None:
                 handle.write(data)
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -2,12 +2,14 @@ import errno
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from support import make_clip
-from voicesms import read_wav, write_wav
+from voicesms import cli, read_wav, write_wav
 from voicesms.cli import build_parser, main
 
 
@@ -22,6 +24,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_main(*argv, columns=80):
+    """``python -m voicesms *argv`` in a new interpreter: exit code and stdout."""
+    env = {**os.environ, "COLUMNS": str(columns),
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "voicesms", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
 
 
 def read_segment_lines(path):
@@ -366,21 +377,12 @@ def test_roundtrip_is_encode_simulate_decode(codec, policy, tmp_path, capsys):
 
 
 def test_module_entry_point(wav_path, tmp_path):
-    import subprocess
-    import sys
-
-    out = tmp_path / "o.txt"
-    proc = subprocess.run(
-        [sys.executable, "-m", "voicesms", "encode", "--in", wav_path, "--out", str(out)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "chars=800 messages=6 connected=2"
+    assert fresh_main("encode", "--in", wav_path, "--out", str(tmp_path / "o.txt")) == (
+        0, "chars=800 messages=6 connected=2\n")
 
 
 def test_module_entry_point_in_process(wav_path, tmp_path, capsys, monkeypatch):
     import runpy
-    import sys
 
     out = tmp_path / "o.txt"
     monkeypatch.setattr(sys, "argv", ["voicesms", "encode", "--in", wav_path, "--out", str(out)])
@@ -464,6 +466,40 @@ def test_failed_fsync_keeps_the_existing_output(wav_path, tmp_path, capsys, monk
     assert target.read_bytes() == b"old\n"
 
 
+def test_out_symlink_is_written_through(wav_path, tmp_path, capsys):
+    assert run(capsys, "encode", "--in", wav_path, "--out", str(tmp_path / "direct.txt"))[0] == 0
+    (tmp_path / "real.txt").write_bytes(b"old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to("real.txt")
+    assert run(capsys, "encode", "--in", wav_path, "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == "real.txt"
+    assert (tmp_path / "real.txt").read_bytes() == (tmp_path / "direct.txt").read_bytes()
+    assert not list(tmp_path.glob(".voicesms-*"))
+
+
+def test_dangling_out_symlink_creates_its_target(wav_path, tmp_path, capsys):
+    link = tmp_path / "link.txt"
+    link.symlink_to("made.txt")
+    assert run(capsys, "encode", "--in", wav_path, "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == "made.txt"
+    assert read_segment_lines(tmp_path / "made.txt")
+    assert not list(tmp_path.glob(".voicesms-*"))
+
+
+@pytest.mark.parametrize("kind", [stat.S_ISFIFO, stat.S_ISLNK], ids=["fifo", "symlink-loop"])
+def test_out_naming_a_non_regular_file_is_refused(kind, wav_path, tmp_path, capsys):
+    # Refused before any temp file is made; os.replace would put a file in its place.
+    target = tmp_path / "target"
+    if kind is stat.S_ISFIFO:
+        os.mkfifo(target)
+    else:
+        target.symlink_to("target")
+    result = run(capsys, "encode", "--in", wav_path, "--out", str(target))
+    assert_failed_cleanly(result, tmp_path, "OSError")
+    assert result[2] == f"error: OSError: not a regular file: {str(target)!r}\n"
+    assert kind(os.lstat(target).st_mode)
+
+
 # Each subcommand's long options in help order, and what parse_args fills in
 # when only the required paths are given.
 CONTRACT = {
@@ -507,3 +543,51 @@ def test_subcommand_flags_and_defaults(command, capsys):
         argv += ["--out", "o"]
         expected["out_path"] = "o"
     assert vars(build_parser().parse_args(argv)) == expected
+
+
+def test_each_call_gets_its_own_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_a_patch_on_one_parser_does_not_leak(wav_path, capsys, monkeypatch):
+    # Wraps parse_args on the instance, as bench/tracing.py does.
+    calls = []
+    unpatched = cli.build_parser
+
+    def counting_build_parser():
+        parser = unpatched()
+        parse_args = parser.parse_args
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse_args(*args, **kwargs)
+        parser.parse_args = counting
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert run(capsys, "stats", "--in", wav_path)[0] == 0
+    monkeypatch.undo()
+    assert run(capsys, "stats", "--in", wav_path)[0] == 0
+    assert len(calls) == 1
+
+
+def test_appended_codecs_do_not_build_up(wav_path, capsys):
+    rows = [len(run(capsys, "stats", "--in", wav_path, *codec)[1].splitlines()) - 1
+            for codec in (["--codec", "ulaw"], ["--codec", "pcm"], [])]
+    assert rows == [1, 1, 3]
+
+
+def test_a_failed_parse_leaves_nothing_behind(wav_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["encode"])
+    assert caught.value.code == 2
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "encode", "--in", wav_path, "--out", str(tmp_path / "a.txt"))
+    assert (code, stdout) == fresh_main("encode", "--in", wav_path, "--out", str(tmp_path / "b.txt"))
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+def test_help_width_is_read_when_help_prints(capsys, monkeypatch):
+    for columns in (80, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        assert (0, help_text(capsys, "encode")) == fresh_main("encode", "--help", columns=columns)

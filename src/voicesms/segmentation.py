@@ -6,11 +6,12 @@ leaves 157 characters of payload; that is the default capacity. Under the
 WIDE cost model the shifted points (>= 256) cost 2 units -- a rough
 stand-in for transports that bill wide characters double.
 
-Packing is greedy, with one loop for both cost models. The stream becomes
-a string of cost units: a point of cost k fills k units, itself and then
-k - 1 NUL fillers (NUL is never a payload point). Each segment takes the
-next ``capacity`` units, cut back to a point's start so that no point is
-split, and drops the fillers.
+Packing is greedy, with one loop for both cost models and no fillers. A
+window costs its length plus its shifted points, counted in C from the
+UTF-16 high bytes (1 exactly for a shifted point; none under UNIFORM).
+Each cut starts ``capacity`` points on and moves back by half the
+overshoot, rounded up, until the window fits; no point costs more than 2,
+so it never moves past the greedy cut.
 
 Exhausting the 000-999 index space is a hard error; wrapping indices would
 silently scramble reassembly order.
@@ -20,7 +21,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import CapacityTooSmall, SegmentOverflow
-from .payload import MAX_POINT, SHIFT, check_points
+from .payload import SHIFT, check_points
 
 INDEX_DIGITS = 3
 MAX_INDEX = 10 ** INDEX_DIGITS - 1
@@ -60,10 +61,6 @@ def point_cost(point: str, model: CostModel) -> int:
     return 2 if model is CostModel.WIDE and ord(point) >= SHIFT else 1
 
 
-# str.translate table: each legal point -> its WIDE cost units
-_WIDE_UNITS = [chr(p) + "\0" * (point_cost(chr(p), CostModel.WIDE) - 1) for p in range(MAX_POINT + 1)]
-
-
 def segment(stream: str, cfg: SegmentationConfig) -> list[Segment]:
     """Greedily pack ``stream`` into consecutively indexed segments.
 
@@ -71,26 +68,28 @@ def segment(stream: str, cfg: SegmentationConfig) -> list[Segment]:
     no information, so nothing is sent.
     """
     check_points(stream)
-    cap = cfg.capacity
-    units = stream.translate(_WIDE_UNITS) if cfg.cost_model is CostModel.WIDE else stream
-    payloads: list[str] = []  # the first MAX_INDEX + 1; later segments are only counted
+    cap, n = cfg.capacity, len(stream)
+    shifted = stream.encode("utf-16-le")[1::2] if cfg.cost_model is CostModel.WIDE else b""
+    segments: list[Segment] = []  # the first MAX_INDEX + 1; later segments are only counted
     count = start = 0
-    while start < len(units):
+    while start < n:
         end = start + cap
-        while units.startswith("\0", end):
-            end -= 1
+        if end > n:
+            end = n
+        while (over := end - start + shifted.count(1, start, end) - cap) > 0:
+            end -= (over + 1) // 2
         if end == start:
             raise CapacityTooSmall(
-                f"point {ord(units[start])} costs {point_cost(units[start], cfg.cost_model)} "
+                f"point {ord(stream[start])} costs {point_cost(stream[start], cfg.cost_model)} "
                 f"under {cfg.cost_model.value}; capacity {cap} cannot hold it")
         if count <= MAX_INDEX:
-            payloads.append(units[start:end].replace("\0", ""))
+            segments.append(Segment(count, stream[start:end]))
         count += 1
         start = end
     if count > MAX_INDEX + 1:
         raise SegmentOverflow(
-            f"stream of {len(stream)} points needs {count} segments; the index space holds {MAX_INDEX + 1}")
-    return [Segment(i, payload) for i, payload in enumerate(payloads)]
+            f"stream of {n} points needs {count} segments; the index space holds {MAX_INDEX + 1}")
+    return segments
 
 
 def render_segment(seg: Segment) -> str:

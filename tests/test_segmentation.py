@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,23 @@ def ref_greedy(stream, capacity, model):
     return chunks
 
 
+def assert_packs_like_reference(stream, capacity, model):
+    """``segment`` cuts where ``ref_greedy`` does, or raises the error its chunks imply."""
+    cfg = SegmentationConfig(capacity=capacity, cost_model=model)
+    expected = ref_greedy(stream, capacity, model)
+    if expected is None:
+        with pytest.raises(CapacityTooSmall):
+            segment(stream, cfg)
+    elif len(expected) > 1000:
+        with pytest.raises(SegmentOverflow, match=f" needs {len(expected)} segments;"):
+            segment(stream, cfg)
+    else:
+        segs = segment(stream, cfg)
+        assert [list(s.payload) for s in segs] == expected
+        assert [s.index for s in segs] == list(range(len(segs)))
+        return segs
+
+
 class TestPointCost:
     def test_uniform_always_one(self):
         assert point_cost(chr(32), CostModel.UNIFORM) == 1
@@ -47,6 +66,12 @@ class TestPointCost:
         assert point_cost(chr(255), CostModel.WIDE) == 1
         assert point_cost(chr(256), CostModel.WIDE) == 2
         assert point_cost(chr(287), CostModel.WIDE) == 2
+
+    def test_wide_cost_is_one_plus_utf16_high_byte(self):
+        # segment counts shifted points by their UTF-16 high byte; this ties
+        # that count to point_cost, the one statement of the WIDE rule
+        for p in range(32, 288):
+            assert point_cost(chr(p), CostModel.WIDE) == 1 + chr(p).encode("utf-16-le")[1]
 
 
 class TestSegmentation:
@@ -99,7 +124,8 @@ class TestSegmentation:
         ("A" * 2001, 2, CostModel.UNIFORM, 1001),
         (chr(256) * 1001, 2, CostModel.WIDE, 1001),
         ("A\u0100" * 1500, 3, CostModel.WIDE, 1500),
-    ], ids=["uniform", "wide", "wide-mixed"])
+        (chr(256) * 78001, 157, CostModel.WIDE, 1001),  # 78 points per segment
+    ], ids=["uniform", "wide", "wide-mixed", "wide-default-capacity"])
     def test_overflow_names_needed_count(self, stream, capacity, model, needed):
         cfg = SegmentationConfig(capacity=capacity, cost_model=model)
         with pytest.raises(SegmentOverflow) as info:
@@ -129,15 +155,29 @@ class TestSegmentation:
     )
     @settings(max_examples=150)
     def test_matches_reference_greedy(self, stream, capacity, model):
-        cfg = SegmentationConfig(capacity=capacity, cost_model=model)
-        expected = ref_greedy(stream, capacity, model)
-        if expected is None:
-            with pytest.raises(CapacityTooSmall):
-                segment(stream, cfg)
-            return
-        segs = segment(stream, cfg)
-        assert [list(s.payload) for s in segs] == expected
-        assert [s.index for s in segs] == list(range(len(segs)))
+        assert_packs_like_reference(stream, capacity, model)
+
+    @given(
+        st.sampled_from([0.0, 0.05, 0.38, 0.9, 1.0]),  # 0.38: speech pcm
+        st.integers(0, 2000),
+        st.integers(1, 200) | st.sampled_from([157, 160]),
+        st.sampled_from(list(CostModel)),
+        st.integers(0, 2 ** 32),
+    )
+    @settings(max_examples=200)
+    def test_matches_reference_greedy_at_shifted_density(self, share, length, capacity, model, seed):
+        rng = random.Random(seed)
+        stream = "".join(chr(rng.randrange(256, 288)) if rng.random() < share else chr(rng.randrange(32, 256))
+                         for _ in range(length))
+        assert_packs_like_reference(stream, capacity, model)
+
+    @pytest.mark.parametrize("stream, sizes", [
+        (chr(256) * 1000, [78] * 12 + [64]),
+        ((chr(256) * 100 + "A" * 100) * 4, [78, 128] * 3 + [78, 104]),
+    ], ids=["all-shifted", "runs-of-100"])
+    def test_wide_cut_backs_at_odd_capacity(self, stream, sizes):
+        segs = assert_packs_like_reference(stream, 157, CostModel.WIDE)
+        assert [len(s.payload) for s in segs] == sizes
 
     @given(payload_text(), st.integers(2, 40))
     @settings(max_examples=100)

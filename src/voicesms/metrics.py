@@ -11,7 +11,7 @@ count, and the connected count groups messages ``group_size`` at a time.
 from dataclasses import dataclass
 
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_decode, codec_encode
-from .payload import bytes_to_codepoints, codepoints_to_bytes
+from .payload import codepoints_to_bytes
 from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
 from .segmentation import Segment, SegmentationConfig, segment
 
@@ -40,14 +40,14 @@ def _row(r: TransmissionReport) -> list[str]:
 
 def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
            decimation: int = DEFAULT_DECIMATION) -> tuple[list[Segment], TransmissionReport]:
-    """Run codec -> payload text -> segmentation; return the segments and
-    the report tallying their three counts.
+    """Run the codec and pack its bytes into segments; return the segments
+    and the report tallying their three counts.
 
     Performs no transmission. A stream too long for the index space
     propagates :class:`SegmentOverflow`.
     """
     data = codec_encode(clip, kind, decimation)
-    segments = segment(bytes_to_codepoints(data), cfg)
+    segments = segment(data, cfg)
     return segments, TransmissionReport(
         codec=kind,
         config=cfg,

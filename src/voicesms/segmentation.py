@@ -1,4 +1,4 @@
-"""Split payload text into indexed SMS segments.
+"""Pack a codec byte stream into indexed SMS segments of payload text.
 
 Each segment renders as three zero-padded decimal digits (the index,
 000..999) followed by its payload characters, so a 160-character message
@@ -6,12 +6,11 @@ leaves 157 characters of payload; that is the default capacity. Under the
 WIDE cost model the shifted points (>= 256) cost 2 units -- a rough
 stand-in for transports that bill wide characters double.
 
-Packing is greedy, with one loop for both cost models and no fillers. A
-window costs its length plus its shifted points, counted in C from the
-UTF-16 high bytes (1 exactly for a shifted point; none under UNIFORM).
-Each cut starts ``capacity`` points on and moves back by half the
-overshoot, rounded up, until the window fits; no point costs more than 2,
-so it never moves past the greedy cut.
+Packing is greedy, one loop for both cost models. A window costs its
+length plus its shifted points, counted in C in the codec bytes mapped
+through a table built from ``point_cost``. Each cut starts ``capacity``
+points on and moves back by half the overshoot, rounded up, until the
+window fits; no point costs over 2, so it never passes the greedy cut.
 
 Exhausting the 000-999 index space is a hard error; wrapping indices would
 silently scramble reassembly order.
@@ -21,7 +20,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import CapacityTooSmall, SegmentOverflow
-from .payload import SHIFT, check_points
+from .payload import ALPHABET, SHIFT, bytes_to_codepoints
 
 INDEX_DIGITS = 3
 MAX_INDEX = 10 ** INDEX_DIGITS - 1
@@ -61,15 +60,18 @@ def point_cost(point: str, model: CostModel) -> int:
     return 2 if model is CostModel.WIDE and ord(point) >= SHIFT else 1
 
 
-def segment(stream: str, cfg: SegmentationConfig) -> list[Segment]:
-    """Greedily pack ``stream`` into consecutively indexed segments.
+_WIDE_EXTRA = bytes(point_cost(p, CostModel.WIDE) - 1 for p in ALPHABET)  # indexed by byte
+
+
+def segment(data: bytes, cfg: SegmentationConfig) -> list[Segment]:
+    """Greedily pack ``bytes_to_codepoints(data)`` into consecutively indexed segments.
 
     An empty stream yields an empty list: an index with no payload carries
     no information, so nothing is sent.
     """
-    check_points(stream)
+    stream = bytes_to_codepoints(data)
     cap, n = cfg.capacity, len(stream)
-    shifted = stream.encode("utf-16-le")[1::2] if cfg.cost_model is CostModel.WIDE else b""
+    shifted = data.translate(_WIDE_EXTRA) if cfg.cost_model is CostModel.WIDE else b""
     segments: list[Segment] = []  # the first MAX_INDEX + 1; later segments are only counted
     count = start = 0
     while start < n:

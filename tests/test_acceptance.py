@@ -29,7 +29,6 @@ from voicesms import (
     codepoints_to_bytes,
     encode,
     parse_segments_file,
-    point_cost,
     reassemble,
     render_segments_file,
     segment,
@@ -39,7 +38,6 @@ from voicesms import (
 )
 from voicesms.cli import main
 
-POINT_OF = bytes_to_codepoints(bytes(range(256)))
 CONTROL_BYTES = bytes(range(32))
 
 
@@ -51,11 +49,6 @@ def best_time(fn, repeats=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def random_points(rng, n):
-    raw = rng.randbytes(n)
-    return "".join([POINT_OF[b] for b in raw]), raw
 
 
 def test_c01_payload_shift_bijection_under_1ms():
@@ -96,7 +89,7 @@ def test_c03_ten_second_pcm_round_trip_under_1s():
 
     def round_trip():
         data = codec_encode(clip, CodecKind.PCM)
-        segments = segment(bytes_to_codepoints(data), cfg)
+        segments = segment(data, cfg)
         text = render_segments_file(segments)
         stream, report = reassemble(
             parse_segments_file(text), ReassemblyPolicy.STRICT
@@ -123,7 +116,7 @@ def test_c04_segmentation_round_trip_fuzz_under_10s():
     start = time.perf_counter()
     for trial, n in enumerate(lengths):
         model = CostModel.UNIFORM if trial % 2 == 0 else CostModel.WIDE
-        points, raw = random_points(rng, n)
+        raw = rng.randbytes(n)
         if model is CostModel.WIDE:
             wide = n - len(raw.translate(None, CONTROL_BYTES))
             total_cost = n + wide
@@ -137,15 +130,15 @@ def test_c04_segmentation_round_trip_fuzz_under_10s():
         capacity = rng.randint(c_min, 500)
         cfg = SegmentationConfig(capacity=capacity, cost_model=model)
 
-        segments = segment(points, cfg)
+        segments = segment(raw, cfg)
         assert all(
-            sum(point_cost(p, model) for p in seg.payload) <= capacity
+            sum(2 if model is CostModel.WIDE and ord(p) >= 256 else 1 for p in seg.payload) <= capacity
             for seg in segments
         )
         shuffled = list(segments)
         rng.shuffle(shuffled)
         rebuilt, report = reassemble(shuffled, ReassemblyPolicy.STRICT)
-        assert rebuilt == points
+        assert rebuilt == bytes_to_codepoints(raw)
         assert report.missing_indices == ()
         assert report.duplicate_count == 0
     elapsed = time.perf_counter() - start
@@ -164,9 +157,9 @@ def test_c05_loose_reassembly_matches_oracle_under_10s():
     start = time.perf_counter()
     for trial in range(1000):
         loss, dup, delay = grid[trial % len(grid)]
-        points, _ = random_points(rng, rng.randint(0, 400))
+        raw = rng.randbytes(rng.randint(0, 400))
         cfg = SegmentationConfig(capacity=rng.randint(10, 50))
-        rendered = [s for s in render_segments_file(segment(points, cfg)).split("\n") if s]
+        rendered = [s for s in render_segments_file(segment(raw, cfg)).split("\n") if s]
         delivered, _ = transmit(
             rendered, ChannelConfig(loss, dup, delay, seed=trial)
         )
@@ -232,8 +225,8 @@ def test_c07_codec_ordering_for_second_long_clips():
 def test_c08_index_space_boundary():
     cfg = SegmentationConfig()  # capacity 157
     with pytest.raises(SegmentOverflow):
-        segment("A" * 157_001, cfg)
-    segments = segment("A" * 157_000, cfg)
+        segment(b"A" * 157_001, cfg)
+    segments = segment(b"A" * 157_000, cfg)
     assert len(segments) == 1000
     assert segments[-1].index == 999
     assert sum(len(s.payload) for s in segments) == 157_000
@@ -281,7 +274,7 @@ def test_c10_rendered_text_is_control_free_and_file_round_trips():
             cost_model=rng.choice(list(CostModel)),
         )
         data = codec_encode(clip, kind)
-        segments = segment(bytes_to_codepoints(data), cfg)
+        segments = segment(data, cfg)
         text = render_segments_file(segments)
 
         for line in text.split("\n"):

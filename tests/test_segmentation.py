@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import payload_text
 from voicesms import (
     CapacityTooSmall,
     CostModel,
     Segment,
     SegmentationConfig,
     SegmentOverflow,
+    bytes_to_codepoints,
     join_lines,
     point_cost,
     render_segment,
@@ -23,11 +23,13 @@ from voicesms import (
 def ref_greedy(stream, capacity, model):
     """Reference segmenter: cut exactly when the next point would not fit.
 
-    Returns None when some point alone costs more than the capacity.
+    It writes out the WIDE rule rather than call ``point_cost``, from which
+    ``segment``'s table is built. Returns None when some point alone costs
+    more than the capacity.
     """
     chunks, current, used = [], [], 0
     for point in stream:
-        cost = point_cost(point, model)
+        cost = 2 if model is CostModel.WIDE and ord(point) >= 256 else 1
         if cost > capacity:
             return None
         if used + cost > capacity:
@@ -40,18 +42,18 @@ def ref_greedy(stream, capacity, model):
     return chunks
 
 
-def assert_packs_like_reference(stream, capacity, model):
+def assert_packs_like_reference(data, capacity, model):
     """``segment`` cuts where ``ref_greedy`` does, or raises the error its chunks imply."""
     cfg = SegmentationConfig(capacity=capacity, cost_model=model)
-    expected = ref_greedy(stream, capacity, model)
+    expected = ref_greedy(bytes_to_codepoints(data), capacity, model)
     if expected is None:
         with pytest.raises(CapacityTooSmall):
-            segment(stream, cfg)
+            segment(data, cfg)
     elif len(expected) > 1000:
         with pytest.raises(SegmentOverflow, match=f" needs {len(expected)} segments;"):
-            segment(stream, cfg)
+            segment(data, cfg)
     else:
-        segs = segment(stream, cfg)
+        segs = segment(data, cfg)
         assert [list(s.payload) for s in segs] == expected
         assert [s.index for s in segs] == list(range(len(segs)))
         return segs
@@ -67,30 +69,31 @@ class TestPointCost:
         assert point_cost(chr(256), CostModel.WIDE) == 2
         assert point_cost(chr(287), CostModel.WIDE) == 2
 
-    def test_wide_cost_is_one_plus_utf16_high_byte(self):
-        # segment counts shifted points by their UTF-16 high byte; this ties
-        # that count to point_cost, the one statement of the WIDE rule
-        for p in range(32, 288):
-            assert point_cost(chr(p), CostModel.WIDE) == 1 + chr(p).encode("utf-16-le")[1]
+    def test_segment_charges_each_byte_its_point_cost(self):
+        # two copies of a byte fill capacity 2 exactly when its point costs 1
+        for b in range(256):
+            cost = point_cost(bytes_to_codepoints(bytes([b])), CostModel.WIDE)
+            assert len(segment(bytes([b]) * 2, SegmentationConfig(2, CostModel.WIDE))) == cost
+            assert len(segment(bytes([b]) * 2, SegmentationConfig(2))) == 1
 
 
 class TestSegmentation:
     def test_empty_stream(self):
-        assert segment("", SegmentationConfig()) == []
+        assert segment(b"", SegmentationConfig()) == []
 
     def test_exact_fit_single_segment(self):
-        segs = segment("A" * 157, SegmentationConfig())
+        segs = segment(b"A" * 157, SegmentationConfig())
         assert len(segs) == 1
         assert segs[0].index == 0
         assert len(segs[0].payload) == 157
 
     def test_one_over_spills(self):
-        segs = segment("A" * 158, SegmentationConfig())
+        segs = segment(b"A" * 158, SegmentationConfig())
         assert [len(s.payload) for s in segs] == [157, 1]
         assert [s.index for s in segs] == [0, 1]
 
     def test_custom_capacity(self):
-        segs = segment(" !\"#$%&'()", SegmentationConfig(capacity=4))
+        segs = segment(b" !\"#$%&'()", SegmentationConfig(capacity=4))
         assert [s.payload for s in segs] == [
             " !\"#",
             "$%&'",
@@ -99,63 +102,63 @@ class TestSegmentation:
 
     def test_wide_points_halve_uniform_fill(self):
         cfg = SegmentationConfig(capacity=10, cost_model=CostModel.WIDE)
-        segs = segment(chr(256) * 12, cfg)
+        segs = segment(b"\0" * 12, cfg)
         assert [len(s.payload) for s in segs] == [5, 5, 2]
 
     def test_wide_never_splits_a_point(self):
         # Capacity 3 with alternating costs 1,2: greedy packs 1+2, then 2 alone
         # cannot pair with the next 1+2 -> packs 2+1, etc.
         cfg = SegmentationConfig(capacity=3, cost_model=CostModel.WIDE)
-        segs = segment("A\u0100\u0101B\u0102", cfg)
+        segs = segment(b"A\0\1B\2", cfg)
         for seg in segs:
             assert sum(point_cost(p, CostModel.WIDE) for p in seg.payload) <= 3
         flat = "".join(s.payload for s in segs)
         assert flat == "A\u0100\u0101B\u0102"
 
     def test_indices_run_from_zero(self):
-        segs = segment("A" * 500, SegmentationConfig(capacity=100))
+        segs = segment(b"A" * 500, SegmentationConfig(capacity=100))
         assert [s.index for s in segs] == [0, 1, 2, 3, 4]
 
     def test_overflow_past_thousand_segments(self):
         with pytest.raises(SegmentOverflow):
-            segment("A" * 2001, SegmentationConfig(capacity=2))
+            segment(b"A" * 2001, SegmentationConfig(capacity=2))
 
-    @pytest.mark.parametrize("stream, capacity, model, needed", [
-        ("A" * 2001, 2, CostModel.UNIFORM, 1001),
-        (chr(256) * 1001, 2, CostModel.WIDE, 1001),
-        ("A\u0100" * 1500, 3, CostModel.WIDE, 1500),
-        (chr(256) * 78001, 157, CostModel.WIDE, 1001),  # 78 points per segment
+    @pytest.mark.parametrize("data, capacity, model, needed", [
+        (b"A" * 2001, 2, CostModel.UNIFORM, 1001),
+        (b"\0" * 1001, 2, CostModel.WIDE, 1001),
+        (b"A\0" * 1500, 3, CostModel.WIDE, 1500),
+        (b"\0" * 78001, 157, CostModel.WIDE, 1001),  # 78 points per segment
     ], ids=["uniform", "wide", "wide-mixed", "wide-default-capacity"])
-    def test_overflow_names_needed_count(self, stream, capacity, model, needed):
+    def test_overflow_names_needed_count(self, data, capacity, model, needed):
         cfg = SegmentationConfig(capacity=capacity, cost_model=model)
         with pytest.raises(SegmentOverflow) as info:
-            segment(stream, cfg)
+            segment(data, cfg)
         assert str(info.value) == (
-            f"stream of {len(stream)} points needs {needed} segments; the index space holds 1000")
+            f"stream of {len(data)} points needs {needed} segments; the index space holds 1000")
 
     def test_exactly_thousand_segments_allowed(self):
-        segs = segment("A" * 2000, SegmentationConfig(capacity=2))
+        segs = segment(b"A" * 2000, SegmentationConfig(capacity=2))
         assert len(segs) == 1000
         assert segs[-1].index == 999
 
     def test_wide_point_larger_than_capacity(self):
         cfg = SegmentationConfig(capacity=1, cost_model=CostModel.WIDE)
         with pytest.raises(CapacityTooSmall):
-            segment("A\u0100", cfg)
+            segment(b"A\0", cfg)
 
     def test_capacity_too_small_reported_before_overflow(self):
         cfg = SegmentationConfig(capacity=1, cost_model=CostModel.WIDE)
         with pytest.raises(CapacityTooSmall):
-            segment("A" * 1001 + chr(256), cfg)
+            segment(b"A" * 1001 + b"\0", cfg)
 
     @given(
-        payload_text(),
+        st.binary(max_size=400),
         st.integers(min_value=1, max_value=40),
         st.sampled_from(list(CostModel)),
     )
     @settings(max_examples=150)
-    def test_matches_reference_greedy(self, stream, capacity, model):
-        assert_packs_like_reference(stream, capacity, model)
+    def test_matches_reference_greedy(self, data, capacity, model):
+        assert_packs_like_reference(data, capacity, model)
 
     @given(
         st.sampled_from([0.0, 0.05, 0.38, 0.9, 1.0]),  # 0.38: speech pcm
@@ -166,24 +169,24 @@ class TestSegmentation:
     )
     @settings(max_examples=200)
     def test_matches_reference_greedy_at_shifted_density(self, share, length, capacity, model, seed):
-        rng = random.Random(seed)
-        stream = "".join(chr(rng.randrange(256, 288)) if rng.random() < share else chr(rng.randrange(32, 256))
-                         for _ in range(length))
-        assert_packs_like_reference(stream, capacity, model)
+        rng = random.Random(seed)  # share: of bytes below 32, whose points are shifted
+        data = bytes(rng.randrange(32) if rng.random() < share else rng.randrange(32, 256)
+                     for _ in range(length))
+        assert_packs_like_reference(data, capacity, model)
 
-    @pytest.mark.parametrize("stream, sizes", [
-        (chr(256) * 1000, [78] * 12 + [64]),
-        ((chr(256) * 100 + "A" * 100) * 4, [78, 128] * 3 + [78, 104]),
+    @pytest.mark.parametrize("data, sizes", [
+        (b"\0" * 1000, [78] * 12 + [64]),
+        ((b"\0" * 100 + b"A" * 100) * 4, [78, 128] * 3 + [78, 104]),
     ], ids=["all-shifted", "runs-of-100"])
-    def test_wide_cut_backs_at_odd_capacity(self, stream, sizes):
-        segs = assert_packs_like_reference(stream, 157, CostModel.WIDE)
+    def test_wide_cut_backs_at_odd_capacity(self, data, sizes):
+        segs = assert_packs_like_reference(data, 157, CostModel.WIDE)
         assert [len(s.payload) for s in segs] == sizes
 
-    @given(payload_text(), st.integers(2, 40))
+    @given(st.binary(max_size=400), st.integers(2, 40))
     @settings(max_examples=100)
-    def test_greedy_segments_are_maximal(self, stream, capacity):
+    def test_greedy_segments_are_maximal(self, data, capacity):
         cfg = SegmentationConfig(capacity=capacity, cost_model=CostModel.WIDE)
-        segs = segment(stream, cfg)
+        segs = segment(data, cfg)
         for here, after in zip(segs, segs[1:]):
             used = sum(point_cost(p, CostModel.WIDE) for p in here.payload)
             next_cost = point_cost(after.payload[0], CostModel.WIDE)

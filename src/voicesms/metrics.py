@@ -6,14 +6,17 @@ whatever segments arrive. File framing stays with the caller on both sides.
 The accounting: character count equals the codec's byte count (the payload
 mapping is one code point per byte), message count is the greedy segment
 count, and the connected count groups messages ``group_size`` at a time.
+``compare`` counts the cuts without building segments or payload text, and
+takes the ``toy`` stream as every D-th byte of a ``ulaw`` stream it has
+already encoded.
 """
 
 from dataclasses import dataclass
 
-from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, codec_decode, codec_encode
+from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, _hold, codec_decode, codec_encode
 from .payload import codepoints_to_bytes
 from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
-from .segmentation import Segment, SegmentationConfig, segment
+from .segmentation import Segment, SegmentationConfig, _cuts, segment
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,24 @@ def decode(segments, kind: CodecKind, policy: ReassemblyPolicy, sample_rate_hz: 
 
 def compare(clip: AudioClip, kinds, cfg: SegmentationConfig,
             decimation: int = DEFAULT_DECIMATION) -> list[TransmissionReport]:
-    """One report per codec, in the order requested."""
+    """One report per codec, in the order requested, equal to ``encode``'s.
+
+    Counts the cuts without building segments. Once ``ulaw`` is encoded,
+    ``toy`` is every D-th byte of it, as its codec defines.
+    """
     kinds = list(kinds)
     if not kinds:
         raise ValueError("at least one codec is required")
-    return [encode(clip, kind, cfg, decimation)[1] for kind in kinds]
+    reports, ulaw = [], None
+    for kind in kinds:
+        if kind is CodecKind.TOY_COMPRESSED and ulaw is not None:
+            data = ulaw[::_hold(kind, decimation)]
+        else:
+            data = codec_encode(clip, kind, decimation)
+            if kind is CodecKind.ULAW:
+                ulaw = data
+        reports.append(TransmissionReport(kind, cfg, len(data), len(_cuts(data, cfg))))
+    return reports
 
 
 def render_csv(reports) -> str:

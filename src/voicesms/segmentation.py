@@ -6,11 +6,15 @@ leaves 157 characters of payload; that is the default capacity. Under the
 WIDE cost model the shifted points (>= 256) cost 2 units -- a rough
 stand-in for transports that bill wide characters double.
 
-Packing is greedy, one loop for both cost models. A window costs its
+Packing is greedy, one cut loop for both cost models. A window costs its
 length plus its shifted points, counted in C in the codec bytes mapped
-through a table built from ``point_cost``. Each cut starts ``capacity``
-points on and moves back by half the overshoot, rounded up, until the
-window fits; no point costs over 2, so it never passes the greedy cut.
+through a table built from ``point_cost``. Each cut starts as long as the
+segment before it (the first at ``capacity`` points). Over budget, it moves
+back by half the overshoot, rounded up; with slack of 2 or more, it moves
+forward by half the slack, rounded down; with slack 1, it takes one more
+point if that point costs 1. No point costs over 2, so both directions land
+on the greedy cut. ``segment`` builds segments from the cuts; ``compare``
+only counts them.
 
 Exhausting the 000-999 index space is a hard error; wrapping indices would
 silently scramble reassembly order.
@@ -63,35 +67,68 @@ def point_cost(point: str, model: CostModel) -> int:
 _WIDE_EXTRA = bytes(point_cost(p, CostModel.WIDE) - 1 for p in ALPHABET)  # indexed by byte
 
 
+def _cuts(data: bytes, cfg: SegmentationConfig) -> list[int]:
+    """End offsets of the greedy segments of ``data``, the first MAX_INDEX + 1 of them.
+
+    Raises :class:`CapacityTooSmall` at the first point that fits no
+    segment, and then :class:`SegmentOverflow` if more cuts were counted.
+    """
+    cap, n = cfg.capacity, len(data)
+    shifted = data.translate(_WIDE_EXTRA) if cfg.cost_model is CostModel.WIDE else b""
+    ends: list[int] = []  # the first MAX_INDEX + 1; later cuts are only counted
+    count = start = 0
+    length = cap
+    while start < n:
+        # The greedy cut g is the last end whose window costs at most cap.
+        # Back: at end > g the window costs cap + over, and each point in
+        # g..end costs at most 2, so end - g >= ceil(over / 2): no step passes g.
+        # Its ceil(over / 2) points cost at most over + 1, and that only if each
+        # costs 2: a slack of 1 left after moving back means the next point
+        # costs 2, so a cut moves one way only.
+        # Forward: slack // 2 more points cost at most the slack, so end <= g.
+        # Once the slack is 0, or 1 and the next point costs 2, end == g.
+        end = start + length
+        if end > n:
+            end = n
+        slack = cap - (end - start) - shifted.count(1, start, end)
+        if slack < 0:
+            while slack < 0:
+                step = (1 - slack) // 2
+                end -= step
+                slack += step + shifted.count(1, end, end + step)
+            if end == start:
+                point = ALPHABET[data[start]]
+                raise CapacityTooSmall(
+                    f"point {ord(point)} costs {point_cost(point, cfg.cost_model)} "
+                    f"under {cfg.cost_model.value}; capacity {cap} cannot hold it")
+        elif slack and end < n:  # under UNIFORM, slack > 0 only at end == n
+            while slack > 1 and end < n:
+                step = min(slack // 2, n - end)
+                slack -= step + shifted.count(1, end, end + step)
+                end += step
+            if slack and end < n and not shifted[end]:
+                end += 1
+        if count <= MAX_INDEX:
+            ends.append(end)
+        count += 1
+        length = end - start
+        start = end
+    if count > MAX_INDEX + 1:
+        raise SegmentOverflow(
+            f"stream of {n} points needs {count} segments; the index space holds {MAX_INDEX + 1}")
+    return ends
+
+
 def segment(data: bytes, cfg: SegmentationConfig) -> list[Segment]:
     """Greedily pack ``bytes_to_codepoints(data)`` into consecutively indexed segments.
 
     An empty stream yields an empty list: an index with no payload carries
     no information, so nothing is sent.
     """
+    ends = _cuts(data, cfg)
     stream = bytes_to_codepoints(data)
-    cap, n = cfg.capacity, len(stream)
-    shifted = data.translate(_WIDE_EXTRA) if cfg.cost_model is CostModel.WIDE else b""
-    segments: list[Segment] = []  # the first MAX_INDEX + 1; later segments are only counted
-    count = start = 0
-    while start < n:
-        end = start + cap
-        if end > n:
-            end = n
-        while (over := end - start + shifted.count(1, start, end) - cap) > 0:
-            end -= (over + 1) // 2
-        if end == start:
-            raise CapacityTooSmall(
-                f"point {ord(stream[start])} costs {point_cost(stream[start], cfg.cost_model)} "
-                f"under {cfg.cost_model.value}; capacity {cap} cannot hold it")
-        if count <= MAX_INDEX:
-            segments.append(Segment(count, stream[start:end]))
-        count += 1
-        start = end
-    if count > MAX_INDEX + 1:
-        raise SegmentOverflow(
-            f"stream of {n} points needs {count} segments; the index space holds {MAX_INDEX + 1}")
-    return segments
+    return [Segment(index, stream[start:end])
+            for index, start, end in zip(range(len(ends)), [0, *ends], ends)]
 
 
 def render_segment(seg: Segment) -> str:

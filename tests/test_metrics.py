@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from voicesms import (
     SegmentationConfig,
     SegmentOverflow,
     TransmissionReport,
+    UnsupportedCombination,
     VoiceSmsError,
     codec_decode,
     codec_encode,
@@ -173,6 +176,32 @@ class TestCompare:
     def test_requires_a_codec(self):
         with pytest.raises(ValueError):
             compare(make_clip(5), [], CFG)
+
+    @given(clips(bit_depths=(16,)), st.integers(1, 8))
+    @settings(max_examples=100)
+    def test_toy_is_every_dth_ulaw_byte(self, clip, decimation):
+        assert (codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation)
+                == codec_encode(clip, CodecKind.ULAW)[::decimation])
+
+    @pytest.mark.parametrize("decimation", [1, 3, 4])
+    def test_equals_encode_in_any_order_with_repeats(self, decimation):
+        clip = make_clip(1001, seed=6)
+        cfg = SegmentationConfig(capacity=40, cost_model=CostModel.WIDE)
+        for n in (1, 2, 3):
+            for kinds in itertools.product(CodecKind, repeat=n):
+                assert compare(clip, kinds, cfg, decimation) == [
+                    encode(clip, kind, cfg, decimation)[1] for kind in kinds]
+
+    def test_toy_after_ulaw_still_checks_decimation(self):
+        with pytest.raises(ValueError) as info:
+            compare(make_clip(50), [CodecKind.ULAW, CodecKind.TOY_COMPRESSED], CFG, 0)
+        assert str(info.value) == "decimation must be >= 1, got 0"
+
+    def test_first_error_names_the_first_codec(self):
+        clip = make_clip(50, bit_depth=8)
+        with pytest.raises(UnsupportedCombination) as info:
+            compare(clip, [CodecKind.TOY_COMPRESSED, CodecKind.ULAW], CFG)
+        assert str(info.value) == "toy requires a 16-bit clip, got 8-bit"
 
 
 class TestRendering:

@@ -1,16 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voicesms import (
+    AudioClip,
     CapacityTooSmall,
+    CodecKind,
     CostModel,
     Segment,
     SegmentationConfig,
     SegmentOverflow,
     bytes_to_codepoints,
+    compare,
     join_lines,
     point_cost,
     render_segment,
@@ -57,6 +60,19 @@ def assert_packs_like_reference(data, capacity, model):
         assert [list(s.payload) for s in segs] == expected
         assert [s.index for s in segs] == list(range(len(segs)))
         return segs
+
+
+def counted(data, cfg):
+    """``compare``'s message count for ``data``, carried as an 8-bit pcm clip's bytes."""
+    return compare(AudioClip(8000, 8, data), [CodecKind.PCM], cfg)[0].message_count
+
+
+def outcome(run):
+    """What ``run()`` returns, or the class and message of the error it raises."""
+    try:
+        return run()
+    except (CapacityTooSmall, SegmentOverflow) as exc:
+        return type(exc), str(exc)
 
 
 class TestPointCost:
@@ -173,6 +189,36 @@ class TestSegmentation:
         data = bytes(rng.randrange(32) if rng.random() < share else rng.randrange(32, 256)
                      for _ in range(length))
         assert_packs_like_reference(data, capacity, model)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 31) | st.integers(32, 255), st.integers(1, 400)),
+                 max_size=30),
+        st.integers(1, 200) | st.sampled_from([157, 160]),
+        st.sampled_from(list(CostModel)),
+    )
+    @example([(0, 196), (32, 77)], 157, CostModel.WIDE)  # ends forward with slack 1
+    @example([(0, 34), (32, 181), (0, 33)], 157, CostModel.WIDE)  # odd slack, then shifted
+    @settings(max_examples=300)
+    def test_matches_reference_greedy_on_runs(self, runs, capacity, model):
+        """Runs of shifted and unshifted bytes make a cut that starts at the
+        last segment's length both overshoot and undershoot."""
+        data = b"".join(bytes([value]) * length for value, length in runs)
+        assert_packs_like_reference(data, capacity, model)
+        cfg = SegmentationConfig(capacity=capacity, cost_model=model)
+        assert outcome(lambda: counted(data, cfg)) == outcome(lambda: len(segment(data, cfg)))
+
+    @pytest.mark.parametrize("data, capacity, message", [
+        (b"A\0", 1, "point 256 costs 2 under wide; capacity 1 cannot hold it"),
+        (b"A" * 1001 + b"\x1f", 1, "point 287 costs 2 under wide; capacity 1 cannot hold it"),
+        ((b"\0" * 100 + b"A" * 100) * 540, 157,
+         "stream of 108000 points needs 1035 segments; the index space holds 1000"),
+    ], ids=["too-small", "too-small-before-overflow", "overflow"])
+    def test_count_and_segments_raise_alike(self, data, capacity, message):
+        cfg = SegmentationConfig(capacity=capacity, cost_model=CostModel.WIDE)
+        for run in (lambda: counted(data, cfg), lambda: segment(data, cfg)):
+            with pytest.raises((CapacityTooSmall, SegmentOverflow)) as info:
+                run()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("data, sizes", [
         (b"\0" * 1000, [78] * 12 + [64]),

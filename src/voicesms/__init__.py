@@ -1,7 +1,8 @@
 """voicesms: carry recorded voice across SMS-sized text messages.
 
-Pipeline: WAV -> codec bytes -> control-safe code points -> indexed
-segments -> (simulated lossy channel) -> reassembled stream -> WAV.
+Pipeline: WAV -> codec bytes -> indexed segments -> control-safe text
+lines -> (simulated lossy channel) -> parsed segments -> reassembled bytes
+-> WAV.
 """
 
 from .audio import (

@@ -22,7 +22,9 @@ Draw discipline per input message, in order:
   3. one bounded draw per delivery (1, or 2 when duplicated), giving
      delivery_tick = input_position + (draw mod (max_extra_delay + 1))
 
-Deliveries are then sorted by (tick, input_position, copy number).
+Deliveries are then sorted by (tick, input_position, copy number). Each is
+queued as the one integer (tick * n + input_position) * 2 + copy, where n
+is the number of messages, which sorts in that same order.
 
 The log is the ticks: one tuple per input message, in input order, holding
 its delivery ticks -- empty when dropped, two entries when duplicated.
@@ -83,19 +85,27 @@ def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[tuple[int, .
     input message, the tuple of its delivery ticks. Content is never
     modified, only dropped, copied, or displaced in time.
     """
+    messages = list(messages)
+    n = len(messages)
     rng = SplitMix64(cfg.seed)
-    pending: list[tuple[int, int, int, str]] = []  # (tick, position, copy, text)
+    unit, below = rng.next_unit, rng.next_below
+    loss, dup, span = cfg.loss_probability, cfg.duplication_probability, cfg.max_extra_delay + 1
+    keys: list[int] = []  # (tick * n + position) * 2 + copy
     log: list[tuple[int, ...]] = []
-    for position, text in enumerate(messages):
-        if rng.next_unit() < cfg.loss_probability:
+    for position in range(n):
+        if unit() < loss:
             log.append(())
-            continue
-        copies = 2 if rng.next_unit() < cfg.duplication_probability else 1
-        ticks = tuple(position + rng.next_below(cfg.max_extra_delay + 1) for _ in range(copies))
-        log.append(ticks)
-        pending.extend((tick, position, copy, text) for copy, tick in enumerate(ticks))
-    pending.sort()
-    return [text for *_key, text in pending], log
+        elif unit() < dup:
+            ticks = (position + below(span), position + below(span))
+            log.append(ticks)
+            keys.append((ticks[0] * n + position) * 2)
+            keys.append((ticks[1] * n + position) * 2 + 1)
+        else:
+            tick = position + below(span)
+            log.append((tick,))
+            keys.append((tick * n + position) * 2)
+    keys.sort()
+    return [messages[key % (2 * n) >> 1] for key in keys], log
 
 
 _OUTCOMES = ("DROPPED", "DELIVERED", "DUPLICATED")  # indexed by delivery count

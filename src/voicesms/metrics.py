@@ -6,15 +6,14 @@ whatever segments arrive. File framing stays with the caller on both sides.
 The accounting: character count equals the codec's byte count (the payload
 mapping is one code point per byte), message count is the greedy segment
 count, and the connected count groups messages ``group_size`` at a time.
-``compare`` counts the cuts without building segments or payload text, and
-takes the ``toy`` stream as every D-th byte of a ``ulaw`` stream it has
-already encoded.
+``compare`` counts the cuts without building segments, and takes the
+``toy`` stream as every D-th byte of a ``ulaw`` stream it has already
+encoded.
 """
 
 from dataclasses import dataclass
 
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, _hold, codec_decode, codec_encode
-from .payload import codepoints_to_bytes
 from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
 from .segmentation import Segment, SegmentationConfig, _cuts, segment
 
@@ -62,16 +61,16 @@ def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
 def decode(segments, kind: CodecKind, policy: ReassemblyPolicy, sample_rate_hz: int,
            bit_depth: int = 16,
            decimation: int = DEFAULT_DECIMATION) -> tuple[AudioClip, ReassemblyReport]:
-    """Run reassembly -> payload bytes -> codec; return the rebuilt clip and
-    the report of which indices arrived.
+    """Run reassembly -> codec; return the rebuilt clip and the report of
+    which indices arrived.
 
     The inverse of :func:`encode`: ``segments`` are the ``Segment`` values
     it returns or that ``parse_segments_file`` reads, in any order and with
     duplicates. ``policy`` decides what a gap does; STRICT raises
     :class:`MissingSegments`.
     """
-    stream, report = reassemble(segments, policy)
-    clip = codec_decode(codepoints_to_bytes(stream), kind, sample_rate_hz, bit_depth, decimation)
+    data, report = reassemble(segments, policy)
+    clip = codec_decode(data, kind, sample_rate_hz, bit_depth, decimation)
     return clip, report
 
 

@@ -1,5 +1,5 @@
 """Receiver side: parse message texts back into segments and rebuild the
-payload text.
+codec byte stream.
 
 Two policies: STRICT demands the full index run 0..max with no gaps; LOOSE
 plays whatever arrived, in index order, skipping holes -- the degraded
@@ -12,6 +12,7 @@ report can name it.
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     BadIndex,
@@ -19,7 +20,7 @@ from .errors import (
     MissingSegments,
     VoiceSmsError,
 )
-from .payload import check_points
+from .payload import codepoints_to_bytes
 from .segmentation import INDEX_DIGITS, Segment, split_lines
 
 
@@ -40,44 +41,60 @@ class ReassemblyReport:
         return tuple(i for i in range(max(received, default=0)) if i not in received)
 
 
-def parse_segment(sms_text: str) -> Segment:
-    """Inverse of ``render_segment``, validating as it goes."""
-    prefix, payload = sms_text[:INDEX_DIGITS], sms_text[INDEX_DIGITS:]
+def _index(sms_text: str) -> int:
+    """The index that the first three characters of ``sms_text`` spell."""
+    prefix = sms_text[:INDEX_DIGITS]
     # isascii + isdigit admits exactly 0-9, not other Unicode digits
     if not (len(prefix) == INDEX_DIGITS and prefix.isascii() and prefix.isdigit()):
         raise BadIndex(f"index prefix {prefix!r} is not three decimal digits")
-    check_points(payload)
-    return Segment(int(prefix), payload)
+    return int(prefix)
+
+
+def parse_segment(sms_text: str) -> Segment:
+    """Inverse of ``render_segment``: the index is checked first, then the payload points."""
+    return Segment(_index(sms_text), codepoints_to_bytes(sms_text[INDEX_DIGITS:]))
+
+
+def _parse_line(lineno: int, line: str) -> Segment:
+    try:
+        return parse_segment(line)
+    except VoiceSmsError as exc:
+        raise type(exc)(f"line {lineno}: {exc}") from exc
 
 
 def parse_segments_file(text: str) -> list[Segment]:
     """Parse the one-segment-per-LF-line file format, in arrival order.
 
-    Re-raises parse failures with the 1-based line number prepended.
+    All payloads are checked and converted in one ``codepoints_to_bytes``
+    call, and each line's bytes are sliced from the result. If any line is
+    bad, the lines are parsed one by one instead, so the error is that of
+    the first bad line, with its 1-based line number prepended.
     """
-    segments = []
-    for lineno, line in enumerate(split_lines(text), start=1):
-        try:
-            segments.append(parse_segment(line))
-        except VoiceSmsError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
-    return segments
+    lines = split_lines(text)
+    payloads = [line[INDEX_DIGITS:] for line in lines]
+    try:
+        data = codepoints_to_bytes("".join(payloads))
+        ends = list(accumulate(map(len, payloads)))
+        return [Segment(_index(line), data[start:end])
+                for line, start, end in zip(lines, [0, *ends], ends)]
+    except VoiceSmsError:
+        return [_parse_line(lineno, line) for lineno, line in enumerate(lines, start=1)]
 
 
-def reassemble(segments, policy: ReassemblyPolicy) -> tuple[str, ReassemblyReport]:
-    """Order, deduplicate, and concatenate received segments.
+def reassemble(segments, policy: ReassemblyPolicy) -> tuple[bytes, ReassemblyReport]:
+    """Order, deduplicate, and concatenate the payload bytes of received segments.
 
     Duplicates keep the first arrival; a repeated index with a different
     payload raises :class:`DuplicateMismatch` under either policy, because
     arrival order must not silently pick between corrupt alternatives.
     """
-    first: dict[int, Segment] = {}
+    first: dict[int, bytes] = {}
     duplicates = 0
     for seg in segments:
         held = first.get(seg.index)
         if held is None:
-            first[seg.index] = seg
-        elif held.payload == seg.payload:
+            first[seg.index] = seg.payload
+        elif held == seg.payload:
             duplicates += 1
         else:
             raise DuplicateMismatch(f"segments with index {seg.index} carry different payloads")
@@ -85,4 +102,4 @@ def reassemble(segments, policy: ReassemblyPolicy) -> tuple[str, ReassemblyRepor
     report = ReassemblyReport(tuple(sorted(first)), duplicates)
     if policy is ReassemblyPolicy.STRICT and report.missing_indices:
         raise MissingSegments(f"missing segment indices: {list(report.missing_indices)}")
-    return "".join(first[i].payload for i in report.received_indices), report
+    return b"".join([first[i] for i in report.received_indices]), report

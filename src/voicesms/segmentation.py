@@ -1,7 +1,8 @@
-"""Pack a codec byte stream into indexed SMS segments of payload text.
+"""Pack a codec byte stream into indexed SMS segments.
 
-Each segment renders as three zero-padded decimal digits (the index,
-000..999) followed by its payload characters, so a 160-character message
+A segment's payload is a slice of the codec bytes. It becomes text only
+when rendered: three zero-padded decimal digits (the index, 000..999)
+followed by one payload character per byte, so a 160-character message
 leaves 157 characters of payload; that is the default capacity. Under the
 WIDE cost model the shifted points (>= 256) cost 2 units -- a rough
 stand-in for transports that bill wide characters double.
@@ -13,7 +14,7 @@ segment before it (the first at ``capacity`` points). Over budget, it moves
 back by half the overshoot, rounded up; with slack of 2 or more, it moves
 forward by half the slack, rounded down; with slack 1, it takes one more
 point if that point costs 1. No point costs over 2, so both directions land
-on the greedy cut. ``segment`` builds segments from the cuts; ``compare``
+on the greedy cut. ``segment`` slices segments at the cuts; ``compare``
 only counts them.
 
 Exhausting the 000-999 index space is a hard error; wrapping indices would
@@ -50,10 +51,10 @@ class SegmentationConfig:
             raise ValueError(f"group size must be >= 1, got {self.group_size}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Segment:
     index: int
-    payload: str
+    payload: bytes  # codec bytes; rendered as one point per byte
 
     def __post_init__(self):
         if not 0 <= self.index <= MAX_INDEX:
@@ -120,20 +121,21 @@ def _cuts(data: bytes, cfg: SegmentationConfig) -> list[int]:
 
 
 def segment(data: bytes, cfg: SegmentationConfig) -> list[Segment]:
-    """Greedily pack ``bytes_to_codepoints(data)`` into consecutively indexed segments.
+    """Greedily pack ``data`` into consecutively indexed segments, each
+    costed as its rendered points.
 
     An empty stream yields an empty list: an index with no payload carries
     no information, so nothing is sent.
     """
+    data = bytes(data)  # payloads are bytes: a bytearray is copied, a str raises TypeError
     ends = _cuts(data, cfg)
-    stream = bytes_to_codepoints(data)
-    return [Segment(index, stream[start:end])
+    return [Segment(index, data[start:end])
             for index, start, end in zip(range(len(ends)), [0, *ends], ends)]
 
 
 def render_segment(seg: Segment) -> str:
-    """Render one segment as transmittable text: 3 index digits + payload."""
-    return f"{seg.index:0{INDEX_DIGITS}d}{seg.payload}"
+    """Render one segment as transmittable text: 3 index digits + payload points."""
+    return f"{seg.index:0{INDEX_DIGITS}d}{bytes_to_codepoints(seg.payload)}"
 
 
 def split_lines(text: str) -> list[str]:

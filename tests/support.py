@@ -5,7 +5,7 @@ import struct
 
 from hypothesis import strategies as st
 
-from voicesms import AudioClip
+from voicesms import AudioClip, BadIndex, InvalidCodePoint, Segment
 
 
 def build_wav(samples, sample_rate=8000, bit_depth=16, channels=1) -> bytes:
@@ -69,14 +69,22 @@ def clips(max_size=200, bit_depths=(8, 16)):
     )
 
 
-def payload_points():
-    """Any legal rendered payload scalar: 32..255 plus the shifted band."""
-    return st.one_of(
-        st.integers(min_value=32, max_value=255),
-        st.integers(min_value=256, max_value=287),
-    )
+def ref_parse_segments_file(text: str) -> list[Segment]:
+    """Reference receiver: parse LF-framed lines one by one into segments.
 
-
-def payload_text(max_size=400):
-    """Any legal payload string, one character per point from payload_points."""
-    return st.lists(payload_points(), max_size=max_size).map(lambda points: "".join(map(chr, points)))
+    Each line's index prefix is checked before its payload points, and the
+    first bad line raises with its 1-based line number prepended.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    parsed = []
+    for lineno, line in enumerate(lines, start=1):
+        prefix, payload = line[:3], line[3:]
+        if len(prefix) != 3 or any(ch not in "0123456789" for ch in prefix):
+            raise BadIndex(f"line {lineno}: index prefix {prefix!r} is not three decimal digits")
+        for ch in payload:
+            if not 32 <= ord(ch) <= 287:
+                raise InvalidCodePoint(f"line {lineno}: code point {ord(ch)} outside the legal range 32..287")
+        parsed.append(Segment(int(prefix), bytes(ord(ch) % 256 for ch in payload)))  # 256..287 carry 0..31
+    return parsed

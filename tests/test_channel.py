@@ -158,6 +158,24 @@ class TestTransmit:
             for pos, outcome, ticks in ref_log
         )
 
+    @given(
+        st.integers(0, 300),
+        st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+        st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+        st.integers(0, 40) | st.just(10**12),
+        st.integers(max_value=-1) | st.integers(0, MASK) | st.integers(min_value=1 << 64),
+    )
+    @settings(max_examples=200)
+    def test_matches_documented_replay_property(self, count, loss, dup, delay, seed):
+        messages = [str(i) for i in range(count)]
+        delivered, log = transmit(messages, ChannelConfig(loss, dup, delay, seed))
+        ref_delivered, ref_log = ref_transmit(messages, loss, dup, delay, seed)
+        assert delivered == ref_delivered
+        assert render_channel_log(log) == "".join(
+            f"{pos}\t{outcome}\t{','.join(map(str, ticks))}\n"
+            for pos, outcome, ticks in ref_log
+        )
+
     def test_reordering_actually_happens(self):
         messages = [str(i) for i in range(200)]
         delivered, _ = transmit(messages, ChannelConfig(0, 0, 10, seed=3))

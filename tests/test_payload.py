@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voicesms import (
+    BadIndex,
     CodecKind,
     InvalidCodePoint,
     ReassemblyPolicy,
@@ -12,6 +13,7 @@ from voicesms import (
     codepoints_to_bytes,
     decode,
     parse_segment,
+    parse_segments_file,
     segment,
 )
 
@@ -79,11 +81,19 @@ def test_decoder_rejects_points_outside_band(bad):
 @pytest.mark.parametrize("bad", [chr(0), chr(10), chr(31), chr(288), "\ud800", chr(0x10FFFF)])
 def test_every_stage_rejects_an_illegal_point(bad):
     text = "A" + bad + "B"
+    # segment and decode take codec bytes, whose every value has a legal point
     with pytest.raises(TypeError):
-        segment(text, SegmentationConfig())  # takes codec bytes, whose every value has a legal point
-    with pytest.raises(InvalidCodePoint):
-        codepoints_to_bytes(text)
-    with pytest.raises(InvalidCodePoint):
-        parse_segment("000" + text)
-    with pytest.raises(InvalidCodePoint):
+        segment(text, SegmentationConfig())
+    with pytest.raises(TypeError):
         decode([Segment(0, text)], CodecKind.PCM, ReassemblyPolicy.LOOSE, 8000)
+    # only parsing sees text
+    with pytest.raises(InvalidCodePoint, match=f"^code point {ord(bad)} "):
+        codepoints_to_bytes(text)
+    with pytest.raises(InvalidCodePoint, match=f"^code point {ord(bad)} "):
+        parse_segment("000" + text)
+    if bad == "\n":  # LF frames the file's lines: the third line, "B", has no index
+        with pytest.raises(BadIndex, match="^line 3: index prefix 'B' "):
+            parse_segments_file("000A\n001" + text + "\n")
+    else:
+        with pytest.raises(InvalidCodePoint, match=f"^line 2: code point {ord(bad)} "):
+            parse_segments_file("000A\n001" + text + "\n")

@@ -57,7 +57,7 @@ def assert_packs_like_reference(data, capacity, model):
             segment(data, cfg)
     else:
         segs = segment(data, cfg)
-        assert [list(s.payload) for s in segs] == expected
+        assert [list(bytes_to_codepoints(s.payload)) for s in segs] == expected
         assert [s.index for s in segs] == list(range(len(segs)))
         return segs
 
@@ -111,9 +111,9 @@ class TestSegmentation:
     def test_custom_capacity(self):
         segs = segment(b" !\"#$%&'()", SegmentationConfig(capacity=4))
         assert [s.payload for s in segs] == [
-            " !\"#",
-            "$%&'",
-            "()",
+            b" !\"#",
+            b"$%&'",
+            b"()",
         ]
 
     def test_wide_points_halve_uniform_fill(self):
@@ -127,9 +127,10 @@ class TestSegmentation:
         cfg = SegmentationConfig(capacity=3, cost_model=CostModel.WIDE)
         segs = segment(b"A\0\1B\2", cfg)
         for seg in segs:
-            assert sum(point_cost(p, CostModel.WIDE) for p in seg.payload) <= 3
-        flat = "".join(s.payload for s in segs)
-        assert flat == "A\u0100\u0101B\u0102"
+            assert sum(point_cost(p, CostModel.WIDE) for p in bytes_to_codepoints(seg.payload)) <= 3
+        flat = b"".join(s.payload for s in segs)
+        assert flat == b"A\0\1B\2"
+        assert bytes_to_codepoints(flat) == "A\u0100\u0101B\u0102"
 
     def test_indices_run_from_zero(self):
         segs = segment(b"A" * 500, SegmentationConfig(capacity=100))
@@ -234,19 +235,21 @@ class TestSegmentation:
         cfg = SegmentationConfig(capacity=capacity, cost_model=CostModel.WIDE)
         segs = segment(data, cfg)
         for here, after in zip(segs, segs[1:]):
-            used = sum(point_cost(p, CostModel.WIDE) for p in here.payload)
-            next_cost = point_cost(after.payload[0], CostModel.WIDE)
+            used = sum(point_cost(p, CostModel.WIDE) for p in bytes_to_codepoints(here.payload))
+            next_cost = point_cost(bytes_to_codepoints(after.payload)[0], CostModel.WIDE)
             assert used + next_cost > capacity
 
 
 class TestRendering:
     def test_render_examples(self):
-        assert render_segment(Segment(0, "Hi")) == "000Hi"
-        assert render_segment(Segment(7, chr(256))) == "007" + chr(256)
-        assert render_segment(Segment(999, " ")) == "999 "
+        assert render_segment(Segment(0, b"Hi")) == "000Hi"
+        assert render_segment(Segment(7, b"\0")) == "007" + chr(256)
+        assert render_segment(Segment(999, b" ")) == "999 "
+        assert render_segment(Segment(12, bytes(range(256)))) == "012" + "".join(
+            map(chr, [*range(256, 288), *range(32, 256)]))
 
     def test_render_file_line_per_segment(self):
-        text = render_segments_file([Segment(0, "A"), Segment(1, "B")])
+        text = render_segments_file([Segment(0, b"A"), Segment(1, b"B")])
         assert text == "000A\n001B\n"
 
     def test_render_file_empty(self):
@@ -254,9 +257,9 @@ class TestRendering:
 
     def test_index_bounds_enforced(self):
         with pytest.raises(ValueError):
-            Segment(-1, "A")
+            Segment(-1, b"A")
         with pytest.raises(ValueError):
-            Segment(1000, "A")
+            Segment(1000, b"A")
 
 
 class TestLineFraming:

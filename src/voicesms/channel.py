@@ -22,9 +22,10 @@ Draw discipline per input message, in order:
   3. one bounded draw per delivery (1, or 2 when duplicated), giving
      delivery_tick = input_position + (draw mod (max_extra_delay + 1))
 
-Deliveries are then sorted by (tick, input_position, copy number). Each is
-queued as the one integer (tick * n + input_position) * 2 + copy, where n
-is the number of messages, which sorts in that same order.
+Deliveries are then sorted by (tick, input_position, copy number). The
+copies of one message carry the same text, so ``transmit`` sorts the one
+integer tick * n + input_position per logged tick, where n is the number
+of messages, and maps each back to ``messages[key % n]``.
 
 The log is the ticks: one tuple per input message, in input order, holding
 its delivery ticks -- empty when dropped, two entries when duplicated.
@@ -90,22 +91,16 @@ def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[tuple[int, .
     rng = SplitMix64(cfg.seed)
     unit, below = rng.next_unit, rng.next_below
     loss, dup, span = cfg.loss_probability, cfg.duplication_probability, cfg.max_extra_delay + 1
-    keys: list[int] = []  # (tick * n + position) * 2 + copy
     log: list[tuple[int, ...]] = []
     for position in range(n):
         if unit() < loss:
             log.append(())
         elif unit() < dup:
-            ticks = (position + below(span), position + below(span))
-            log.append(ticks)
-            keys.append((ticks[0] * n + position) * 2)
-            keys.append((ticks[1] * n + position) * 2 + 1)
+            log.append((position + below(span), position + below(span)))
         else:
-            tick = position + below(span)
-            log.append((tick,))
-            keys.append((tick * n + position) * 2)
-    keys.sort()
-    return [messages[key % (2 * n) >> 1] for key in keys], log
+            log.append((position + below(span),))
+    keys = sorted([tick * n + position for position, ticks in enumerate(log) for tick in ticks])
+    return [messages[key % n] for key in keys], log
 
 
 _OUTCOMES = ("DROPPED", "DELIVERED", "DUPLICATED")  # indexed by delivery count

@@ -4,10 +4,10 @@ codec byte stream.
 Two policies: STRICT demands the full index run 0..max with no gaps; LOOSE
 plays whatever arrived, in index order, skipping holes -- the degraded
 audio simply jumps over the lost spans. The report stores only what arrived
-and how many duplicates were dropped; the missing indices are derived from
-the received ones. The wire format carries no total count, so a lost tail
-cannot be detected: it is indistinguishable from a shorter message, and no
-report can name it.
+and how many duplicates were dropped, which is the arrivals minus the
+distinct indices; the missing indices are derived from the received ones.
+The wire format carries no total count, so a lost tail cannot be detected:
+it is indistinguishable from a shorter message, and no report can name it.
 """
 
 import enum
@@ -65,17 +65,18 @@ def _parse_line(lineno: int, line: str) -> Segment:
 def parse_segments_file(text: str) -> list[Segment]:
     """Parse the one-segment-per-LF-line file format, in arrival order.
 
-    All payloads are checked and converted in one ``codepoints_to_bytes``
-    call, and each line's bytes are sliced from the result. If any line is
-    bad, the lines are parsed one by one instead, so the error is that of
-    the first bad line, with its 1-based line number prepended.
+    The whole lines, index digits included, are checked and converted in
+    one ``codepoints_to_bytes`` call (the digits are legal points), and
+    each line's payload bytes are sliced from the result past its index.
+    If any line is bad, the lines are parsed one by one instead, so the
+    error is that of the first bad line, with its 1-based line number
+    prepended.
     """
     lines = split_lines(text)
-    payloads = [line[INDEX_DIGITS:] for line in lines]
     try:
-        data = codepoints_to_bytes("".join(payloads))
-        ends = list(accumulate(map(len, payloads)))
-        return [Segment(_index(line), data[start:end])
+        data = codepoints_to_bytes("".join(lines))
+        ends = list(accumulate(map(len, lines)))
+        return [Segment(_index(line), data[start + INDEX_DIGITS:end])
                 for line, start, end in zip(lines, [0, *ends], ends)]
     except VoiceSmsError:
         return [_parse_line(lineno, line) for lineno, line in enumerate(lines, start=1)]
@@ -89,17 +90,12 @@ def reassemble(segments, policy: ReassemblyPolicy) -> tuple[bytes, ReassemblyRep
     arrival order must not silently pick between corrupt alternatives.
     """
     first: dict[int, bytes] = {}
-    duplicates = 0
-    for seg in segments:
-        held = first.get(seg.index)
-        if held is None:
-            first[seg.index] = seg.payload
-        elif held == seg.payload:
-            duplicates += 1
-        else:
+    arrivals = 0
+    for arrivals, seg in enumerate(segments, start=1):
+        if first.setdefault(seg.index, seg.payload) != seg.payload:
             raise DuplicateMismatch(f"segments with index {seg.index} carry different payloads")
 
-    report = ReassemblyReport(tuple(sorted(first)), duplicates)
+    report = ReassemblyReport(tuple(sorted(first)), arrivals - len(first))
     if policy is ReassemblyPolicy.STRICT and report.missing_indices:
         raise MissingSegments(f"missing segment indices: {list(report.missing_indices)}")
     return b"".join([first[i] for i in report.received_indices]), report

@@ -69,15 +69,16 @@ _WIDE_EXTRA = bytes(point_cost(p, CostModel.WIDE) - 1 for p in ALPHABET)  # inde
 
 
 def _cuts(data: bytes, cfg: SegmentationConfig) -> list[int]:
-    """End offsets of the greedy segments of ``data``, the first MAX_INDEX + 1 of them.
+    """End offsets of the greedy segments of ``data``.
 
     Raises :class:`CapacityTooSmall` at the first point that fits no
-    segment, and then :class:`SegmentOverflow` if more cuts were counted.
+    segment, and then :class:`SegmentOverflow` if there are more than
+    MAX_INDEX + 1 cuts.
     """
     cap, n = cfg.capacity, len(data)
     shifted = data.translate(_WIDE_EXTRA) if cfg.cost_model is CostModel.WIDE else b""
-    ends: list[int] = []  # the first MAX_INDEX + 1; later cuts are only counted
-    count = start = 0
+    ends: list[int] = []
+    start = 0
     length = cap
     while start < n:
         # The greedy cut g is the last end whose window costs at most cap.
@@ -109,14 +110,12 @@ def _cuts(data: bytes, cfg: SegmentationConfig) -> list[int]:
                 end += step
             if slack and end < n and not shifted[end]:
                 end += 1
-        if count <= MAX_INDEX:
-            ends.append(end)
-        count += 1
+        ends.append(end)
         length = end - start
         start = end
-    if count > MAX_INDEX + 1:
+    if len(ends) > MAX_INDEX + 1:
         raise SegmentOverflow(
-            f"stream of {n} points needs {count} segments; the index space holds {MAX_INDEX + 1}")
+            f"stream of {n} points needs {len(ends)} segments; the index space holds {MAX_INDEX + 1}")
     return ends
 
 

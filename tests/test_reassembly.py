@@ -124,6 +124,11 @@ class TestParseSegmentsFile:
     @example("000A\n001B" + "\ud800" + "\n99\n")  # a lone surrogate, then a short line
     @example("0\u0663" + "2" + chr(0) + "\n")  # a bad index and a bad point on one line
     @example("000" + chr(0x10FFFF) + "\n001\u0085\r")  # an astral point; U+0085 is a legal point
+    # prefixes that the one conversion of whole lines reads before the indices are checked
+    @example("000A\n00" + chr(256) + "B\n")  # a legal shifted point in a prefix
+    @example("000A\n12\n002C\n")  # a short line
+    @example("000A\n\n001B\n")  # an empty line
+    @example("000A\n0\u06601B\n")  # a non-ASCII digit
     @settings(max_examples=300)
     def test_matches_reference_parser(self, text):
         def outcome(parse):
@@ -221,3 +226,7 @@ class TestReassemble:
         assert reassemble(shuffled, ReassemblyPolicy.LOOSE) == reassemble(
             segs, ReassemblyPolicy.LOOSE
         )
+        # a one-shot iterator is read once; duplicates are arrivals minus distinct indices
+        stream, report = reassemble(iter(shuffled), ReassemblyPolicy.LOOSE)
+        assert (stream, report) == reassemble(segs, ReassemblyPolicy.LOOSE)
+        assert report.duplicate_count == len(segs) - len({s.index for s in segs})

@@ -145,7 +145,8 @@ class TestSegmentation:
         (b"\0" * 1001, 2, CostModel.WIDE, 1001),
         (b"A\0" * 1500, 3, CostModel.WIDE, 1500),
         (b"\0" * 78001, 157, CostModel.WIDE, 1001),  # 78 points per segment
-    ], ids=["uniform", "wide", "wide-mixed", "wide-default-capacity"])
+        (b"A" * 20000, 2, CostModel.UNIFORM, 10000),  # ten times the index space
+    ], ids=["uniform", "wide", "wide-mixed", "wide-default-capacity", "uniform-tenfold"])
     def test_overflow_names_needed_count(self, data, capacity, model, needed):
         cfg = SegmentationConfig(capacity=capacity, cost_model=model)
         with pytest.raises(SegmentOverflow) as info:

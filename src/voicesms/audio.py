@@ -13,11 +13,13 @@ The u-law code operates on the 14-bit domain (-8192..8191). 16-bit samples
 are arithmetic-shifted right by 2 on the way in and left by 2 on the way
 out. ``ulaw_encode_sample`` and ``ulaw_decode_sample`` are the scalar spec;
 the codecs apply it through tables built from it: encode looks each sample
-up in a 65,536-entry table built on first use, and decode maps the stream
-through two 256-byte tables built at import. Note the classic u-law quirk:
-the negative-zero octet 0x7F decodes to 0 and therefore re-encodes as the
-canonical zero 0xFF; every other octet survives a decode/encode round trip
-unchanged.
+up in a 65,536-entry ``list`` built on first use, and decode maps the
+stream through two 256-byte tables built at import. The encode table is a
+list because ``map`` calls ``list.__getitem__`` directly, with no argument
+tuple per sample; it costs 512 KiB once per process. Note the classic
+u-law quirk: the negative-zero octet 0x7F decodes to 0 and therefore
+re-encodes as the canonical zero 0xFF; every other octet survives a
+decode/encode round trip unchanged.
 """
 
 import enum
@@ -207,15 +209,16 @@ def _hold(kind: CodecKind, decimation: int) -> int:
 
 
 @functools.cache
-def _ulaw_encode_table() -> bytes:
+def _ulaw_encode_table() -> list[int]:
     """The u-law octet of every 16-bit sample, indexed by the sample read
-    as unsigned (``s & 0xFFFF``). Built on first use, not at import."""
+    as unsigned (``s & 0xFFFF``). Built on first use, not at import.
+    Shared by every caller, so nothing may write to it."""
     # the 14-bit domain in unsigned order: 0..8191, then -8192..-1
-    low14 = bytes(map(ulaw_encode_sample, (*range(0x2000), *range(-0x2000, 0))))
-    table = bytearray(0x10000)
+    low14 = list(map(ulaw_encode_sample, (*range(0x2000), *range(-0x2000, 0))))
+    table = [0] * 0x10000
     for low_bits in range(4):  # s >> 2 drops two bits: each octet four times
         table[low_bits::4] = low14
-    return bytes(table)
+    return table
 
 
 def codec_encode(clip: AudioClip, kind: CodecKind,

@@ -103,11 +103,10 @@ def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[tuple[int, .
     return [messages[key % n] for key in keys], log
 
 
-_OUTCOMES = ("DROPPED", "DELIVERED", "DUPLICATED")  # indexed by delivery count
+# one log line per delivery count: input_position, outcome, comma-joined ticks
+_LINES = ("{}\tDROPPED\t\n", "{}\tDELIVERED\t{}\n", "{}\tDUPLICATED\t{},{}\n")
 
 
 def render_channel_log(log) -> str:
     """Tab-separated trace: input_position, outcome, comma-joined ticks."""
-    return "".join(
-        f"{position}\t{_OUTCOMES[len(ticks)]}\t{','.join(map(str, ticks))}\n"
-        for position, ticks in enumerate(log))
+    return "".join(_LINES[len(ticks)].format(position, *ticks) for position, ticks in enumerate(log))

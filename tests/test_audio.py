@@ -366,6 +366,13 @@ class TestCodecs:
         stream = codec_encode(pcm_clip(every), CodecKind.TOY_COMPRESSED, decimation=3)
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in every[::3]]
 
+    def test_table_encode_matches_reference_oracle_on_every_sample(self):
+        every = list(range(-32768, 32768))
+        expected = bytes(ref_encode(s >> 2) for s in every)
+        clip = pcm_clip(every)
+        assert codec_encode(clip, CodecKind.ULAW) == expected
+        assert codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=3) == expected[::3]
+
     @pytest.mark.parametrize("kind", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
     def test_other_host_byte_order_reads_data_as_little_endian(self, kind, monkeypatch):
         clips = (make_clip(41, seed=5), pcm_clip([]), pcm_clip([-12345]))

@@ -250,6 +250,8 @@ def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,
     if kind is CodecKind.PCM:
         return AudioClip(sample_rate_hz, bit_depth, stream)
     stride = 2 * _hold(kind, decimation)
+    if not stream:  # the tick loop below runs stride // 2 times, whatever the length
+        return AudioClip(sample_rate_hz, 16, b"")
     _check_data_size(stride * len(stream))  # before allocating it
     data = bytearray(stride * len(stream))
     low, high = stream.translate(_ULAW_LOW), stream.translate(_ULAW_HIGH)

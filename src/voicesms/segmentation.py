@@ -10,12 +10,12 @@ stand-in for transports that bill wide characters double.
 Packing is greedy, one cut loop for both cost models. A window costs its
 length plus its shifted points, counted in C in the codec bytes mapped
 through a table built from ``point_cost``. Each cut starts as long as the
-segment before it (the first at ``capacity`` points). Over budget, it moves
-back by half the overshoot, rounded up; with slack of 2 or more, it moves
-forward by half the slack, rounded down; with slack 1, it takes one more
-point if that point costs 1. No point costs over 2, so both directions land
-on the greedy cut. ``segment`` slices segments at the cuts; ``compare``
-only counts them.
+segment before it (the first at ``capacity`` points) and makes two moves.
+Under budget, it jumps forward once by the whole slack; every point costs
+at least 1, so it lands on or past the greedy cut. Then, while over budget,
+it steps back by half the overshoot, rounded up; no point costs over 2, so
+it stops on the greedy cut. ``segment`` slices segments at the cuts;
+``compare`` only counts them.
 
 Exhausting the 000-999 index space is a hard error; wrapping indices would
 silently scramble reassembly order.
@@ -82,34 +82,28 @@ def _cuts(data: bytes, cfg: SegmentationConfig) -> list[int]:
     length = cap
     while start < n:
         # The greedy cut g is the last end whose window costs at most cap.
+        # Forward: the slack more points cost at least the slack, and g <= n,
+        # so end >= g.
         # Back: at end > g the window costs cap + over, and each point in
-        # g..end costs at most 2, so end - g >= ceil(over / 2): no step passes g.
-        # Its ceil(over / 2) points cost at most over + 1, and that only if each
-        # costs 2: a slack of 1 left after moving back means the next point
-        # costs 2, so a cut moves one way only.
-        # Forward: slack // 2 more points cost at most the slack, so end <= g.
-        # Once the slack is 0, or 1 and the next point costs 2, end == g.
+        # g..end costs at most 2, so end - g >= ceil(over / 2): no step
+        # passes g, and the loop stops on it.
         end = start + length
         if end > n:
             end = n
         slack = cap - (end - start) - shifted.count(1, start, end)
-        if slack < 0:
-            while slack < 0:
-                step = (1 - slack) // 2
-                end -= step
-                slack += step + shifted.count(1, end, end + step)
-            if end == start:
-                point = ALPHABET[data[start]]
-                raise CapacityTooSmall(
-                    f"point {ord(point)} costs {point_cost(point, cfg.cost_model)} "
-                    f"under {cfg.cost_model.value}; capacity {cap} cannot hold it")
-        elif slack and end < n:  # under UNIFORM, slack > 0 only at end == n
-            while slack > 1 and end < n:
-                step = min(slack // 2, n - end)
-                slack -= step + shifted.count(1, end, end + step)
-                end += step
-            if slack and end < n and not shifted[end]:
-                end += 1
+        if slack > 0 and end < n:
+            step = min(slack, n - end)
+            slack -= step + shifted.count(1, end, end + step)
+            end += step
+        while slack < 0:
+            step = (1 - slack) // 2
+            end -= step
+            slack += step + shifted.count(1, end, end + step)
+        if end == start:
+            point = ALPHABET[data[start]]
+            raise CapacityTooSmall(
+                f"point {ord(point)} costs {point_cost(point, cfg.cost_model)} "
+                f"under {cfg.cost_model.value}; capacity {cap} cannot hold it")
         ends.append(end)
         length = end - start
         start = end

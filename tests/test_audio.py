@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from array import array
 from pathlib import Path
 from types import SimpleNamespace
@@ -439,3 +440,12 @@ class TestCodecs:
         clip = make_clip(10)
         with pytest.raises(ValueError):
             codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=0)
+
+    def test_empty_toy_stream_decodes_at_once_at_any_decimation(self):
+        # nothing to hold, so the time must not follow the decimation
+        started = time.perf_counter()
+        clip = codec_decode(b"", CodecKind.TOY_COMPRESSED, 8000, decimation=2_000_000_000)
+        assert time.perf_counter() - started < 1
+        assert clip == AudioClip(8000, 16, b"")
+        with pytest.raises(ValueError, match="decimation must be >= 1, got 0"):
+            codec_decode(b"", CodecKind.TOY_COMPRESSED, 8000, decimation=0)

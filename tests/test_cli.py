@@ -4,6 +4,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,25 @@ class TestDecode:
         assert stderr.startswith("error: ValueError: ")
         assert stderr.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "segs.txt"]
+
+    def test_empty_toy_stream_decodes_at_once_at_any_decimation(self, tmp_path, capsys):
+        seg_file = tmp_path / "segs.txt"
+        seg_file.write_bytes(b"")
+        started = time.perf_counter()
+        code, stdout, _ = run(
+            capsys, "decode", "--in", str(seg_file), "--out", str(tmp_path / "o.wav"),
+            "--codec", "toy", "--decimation", "2000000000",
+        )
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert stdout == "rate=8000 samples=0 received=0 missing=- duplicates=0\n"
+        code, stdout, stderr = run(
+            capsys, "decode", "--in", str(seg_file), "--out", str(tmp_path / "z.wav"),
+            "--codec", "toy", "--decimation", "0",
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: ValueError: decimation must be >= 1, got 0\n"
+        assert not (tmp_path / "z.wav").exists()
 
 
 class TestSimulate:

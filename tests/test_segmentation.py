@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -198,8 +199,8 @@ class TestSegmentation:
         st.integers(1, 200) | st.sampled_from([157, 160]),
         st.sampled_from(list(CostModel)),
     )
-    @example([(0, 196), (32, 77)], 157, CostModel.WIDE)  # ends forward with slack 1
-    @example([(0, 34), (32, 181), (0, 33)], 157, CostModel.WIDE)  # odd slack, then shifted
+    @example([(0, 196), (32, 77)], 157, CostModel.WIDE)  # jumps 1 onto a shifted point, back 1
+    @example([(0, 34), (32, 181), (0, 33)], 157, CostModel.WIDE)  # jump clamped at the end, back 1
     @settings(max_examples=300)
     def test_matches_reference_greedy_on_runs(self, runs, capacity, model):
         """Runs of shifted and unshifted bytes make a cut that starts at the
@@ -208,6 +209,18 @@ class TestSegmentation:
         assert_packs_like_reference(data, capacity, model)
         cfg = SegmentationConfig(capacity=capacity, cost_model=model)
         assert outcome(lambda: counted(data, cfg)) == outcome(lambda: len(segment(data, cfg)))
+
+    @pytest.mark.parametrize("model", list(CostModel))
+    def test_matches_reference_greedy_on_every_short_stream(self, model):
+        """Every stream of unshifted and shifted bytes up to length 9, at
+        capacities 1-5: each jump and back step at small capacity, in turn."""
+        for length in range(10):
+            for data in map(bytes, itertools.product(b"A\0", repeat=length)):
+                for capacity in range(1, 6):
+                    assert_packs_like_reference(data, capacity, model)
+                    cfg = SegmentationConfig(capacity=capacity, cost_model=model)
+                    assert (outcome(lambda: counted(data, cfg))
+                            == outcome(lambda: len(segment(data, cfg))))
 
     @pytest.mark.parametrize("data, capacity, message", [
         (b"A\0", 1, "point 256 costs 2 under wide; capacity 1 cannot hold it"),

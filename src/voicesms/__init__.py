@@ -22,9 +22,11 @@ from .errors import (
     CapacityTooSmall,
     DuplicateMismatch,
     InvalidCodePoint,
+    InvalidOption,
     LengthMismatch,
     MalformedContainer,
     MissingSegments,
+    NotText,
     SegmentOverflow,
     UnsupportedCombination,
     UnsupportedFormat,

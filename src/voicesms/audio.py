@@ -30,6 +30,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import (
+    InvalidOption,
     LengthMismatch,
     MalformedContainer,
     UnsupportedCombination,
@@ -49,7 +50,7 @@ class CodecKind(enum.Enum):
 
 def _check_data_size(n: int) -> None:
     if n > MAX_DATA_BYTES:
-        raise ValueError(f"{n} bytes of audio exceed the {MAX_DATA_BYTES}-byte WAV data chunk limit")
+        raise InvalidOption(f"{n} bytes of audio exceed the {MAX_DATA_BYTES}-byte WAV data chunk limit")
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,11 @@ class AudioClip:
         if self.bit_depth == 16 and len(self.data) % 2:
             raise LengthMismatch(f"odd byte count {len(self.data)} for 16-bit samples")
         if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
+            raise InvalidOption(f"sample rate must be positive, got {self.sample_rate_hz}")
         if self.bit_depth not in (8, 16):
-            raise ValueError(f"bit depth must be 8 or 16, got {self.bit_depth}")
+            raise InvalidOption(f"bit depth must be 8 or 16, got {self.bit_depth}")
         if self.sample_rate_hz * self.bit_depth // 8 > 0xFFFFFFFF:
-            raise ValueError(f"sample rate {self.sample_rate_hz} Hz overflows the WAV byte-rate field")
+            raise InvalidOption(f"sample rate {self.sample_rate_hz} Hz overflows the WAV byte-rate field")
 
     @property
     def sample_count(self) -> int:
@@ -203,9 +204,9 @@ def _hold(kind: CodecKind, decimation: int) -> int:
         return 1
     if kind is CodecKind.TOY_COMPRESSED:
         if decimation < 1:
-            raise ValueError(f"decimation must be >= 1, got {decimation}")
+            raise InvalidOption(f"decimation must be >= 1, got {decimation}")
         return decimation
-    raise ValueError(f"unknown codec {kind!r}")
+    raise InvalidOption(f"unknown codec {kind!r}")
 
 
 @functools.cache

@@ -33,6 +33,8 @@ its delivery ticks -- empty when dropped, two entries when duplicated.
 
 from dataclasses import dataclass
 
+from .errors import InvalidOption
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -72,11 +74,11 @@ class ChannelConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError(f"loss probability {self.loss_probability} outside [0, 1]")
+            raise InvalidOption(f"loss probability {self.loss_probability} outside [0, 1]")
         if not 0.0 <= self.duplication_probability <= 1.0:
-            raise ValueError(f"duplication probability {self.duplication_probability} outside [0, 1]")
+            raise InvalidOption(f"duplication probability {self.duplication_probability} outside [0, 1]")
         if self.max_extra_delay < 0:
-            raise ValueError(f"max extra delay must be >= 0, got {self.max_extra_delay}")
+            raise InvalidOption(f"max extra delay must be >= 0, got {self.max_extra_delay}")
 
 
 def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[tuple[int, ...]]]:

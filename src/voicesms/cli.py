@@ -9,8 +9,10 @@ the per-codec accounting table. ``_FLAGS`` declares each flag once, and
 calls the library, writes its output and prints a one-line summary. Each
 output is created beside its target, a symlink's target if the path is a
 link, as ``open()`` creates a file, so the umask sets its mode, then
-renamed into place: a failed run leaves no partial file. The parser is
-built once per process, on first use, and each caller gets its own copy.
+renamed into place: a failed run leaves no partial file. ``main`` prints
+a ``VoiceSmsError`` or an ``OSError`` as one line, as ``errors`` sets out;
+anything else is a bug and propagates. The parser is built once per
+process, on first use, and each caller gets its own copy.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import sys
 
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, read_wav, write_wav
 from .channel import ChannelConfig, render_channel_log, transmit
-from .errors import VoiceSmsError
+from .errors import InvalidOption, NotText, VoiceSmsError
 from .metrics import compare, decode, encode, render_csv, render_table
 from .reassembly import ReassemblyPolicy, parse_segments_file
 from .segmentation import (
@@ -111,7 +113,10 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _read_text(path: str) -> str:
-    return _read_bytes(path).decode("utf-8")
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotText(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -190,6 +195,8 @@ def cmd_decode(args) -> None:
 @_command("simulate", "segments file -> delivered segments file",
           "in_path out_path loss dup delay seed log_path")
 def cmd_simulate(args) -> None:
+    if args.log_path and os.path.realpath(args.log_path) == os.path.realpath(args.out_path):
+        raise InvalidOption(f"--log {args.log_path!r} and --out {args.out_path!r} name the same file")
     delivered, log, summary = _simulate_text(_read_text(args.in_path), args)
     _write_atomic(args.out_path, delivered.encode("utf-8"))
     if args.log_path:
@@ -224,7 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command][2](args)
-    except (VoiceSmsError, OSError, ValueError) as exc:
+    except (VoiceSmsError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

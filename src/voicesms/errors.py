@@ -1,9 +1,14 @@
 """Exception hierarchy shared by every stage of the pipeline.
 
-The CLI maps any :class:`VoiceSmsError` to a one-line diagnostic naming the
-concrete subclass, so subclass names double as user-facing error cases.
-Every subclass is raised with its message alone and carries no other
-attribute, so a caller can rebuild one with a prefix:
+This module alone decides which failures are the user's. Bad input -- a
+damaged file, an option or config value outside its legal range -- raises
+a :class:`VoiceSmsError` subclass. Faults of the environment, such as a
+missing file or a failed write, stay :class:`OSError`. The CLI prints
+exactly these two families as one line, ``error: <Name>: <message>``,
+and exits 1; any other exception is a bug and shows as a traceback.
+argparse usage errors exit 2. Subclass names double as user-facing error
+cases. Every subclass is raised with its message alone and carries no
+other attribute, so a caller can rebuild one with a prefix:
 ``type(exc)(f"line 3: {exc}")``.
 """
 
@@ -50,3 +55,11 @@ class MissingSegments(VoiceSmsError):
 
 class DuplicateMismatch(VoiceSmsError):
     """Two received segments share an index but carry different payloads."""
+
+
+class InvalidOption(VoiceSmsError, ValueError):
+    """An option or config value lies outside its legal range."""
+
+
+class NotText(VoiceSmsError, ValueError):
+    """An input file that must be UTF-8 text is not."""

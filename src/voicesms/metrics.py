@@ -14,6 +14,7 @@ encoded.
 from dataclasses import dataclass
 
 from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, _hold, codec_decode, codec_encode
+from .errors import InvalidOption
 from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
 from .segmentation import Segment, SegmentationConfig, _cuts, segment
 
@@ -83,7 +84,7 @@ def compare(clip: AudioClip, kinds, cfg: SegmentationConfig,
     """
     kinds = list(kinds)
     if not kinds:
-        raise ValueError("at least one codec is required")
+        raise InvalidOption("at least one codec is required")
     reports, ulaw = [], None
     for kind in kinds:
         if kind is CodecKind.TOY_COMPRESSED and ulaw is not None:

@@ -24,7 +24,7 @@ silently scramble reassembly order.
 import enum
 from dataclasses import dataclass
 
-from .errors import CapacityTooSmall, SegmentOverflow
+from .errors import CapacityTooSmall, InvalidOption, SegmentOverflow
 from .payload import ALPHABET, SHIFT, bytes_to_codepoints
 
 INDEX_DIGITS = 3
@@ -46,9 +46,9 @@ class SegmentationConfig:
 
     def __post_init__(self):
         if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
+            raise InvalidOption(f"capacity must be >= 1, got {self.capacity}")
         if self.group_size < 1:
-            raise ValueError(f"group size must be >= 1, got {self.group_size}")
+            raise InvalidOption(f"group size must be >= 1, got {self.group_size}")
 
 
 @dataclass(slots=True)
@@ -58,7 +58,7 @@ class Segment:
 
     def __post_init__(self):
         if not 0 <= self.index <= MAX_INDEX:
-            raise ValueError(f"segment index {self.index} outside 0..{MAX_INDEX}")
+            raise InvalidOption(f"segment index {self.index} outside 0..{MAX_INDEX}")
 
 
 def point_cost(point: str, model: CostModel) -> int:

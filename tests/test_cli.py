@@ -1,16 +1,22 @@
+import builtins
+import contextlib
 import errno
+import io
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import make_clip
-from voicesms import cli, read_wav, write_wav
+from voicesms import InvalidOption, NotText, VoiceSmsError, cli, errors, read_wav, write_wav
 from voicesms.cli import build_parser, main
 
 
@@ -96,7 +102,7 @@ class TestEncode:
             "--out", str(tmp_path / "o.txt"), "--capacity", "0",
         )
         assert code == 1
-        assert "error:" in stderr
+        assert stderr == "error: InvalidOption: capacity must be >= 1, got 0\n"
 
 
 class TestDecode:
@@ -177,8 +183,7 @@ class TestDecode:
         )
         assert code == 1
         assert stdout == ""
-        assert stderr.startswith("error: ValueError: ")
-        assert stderr.count("\n") == 1
+        assert stderr == "error: InvalidOption: sample rate 3000000000 Hz overflows the WAV byte-rate field\n"
         assert not (tmp_path / "o.wav").exists()
 
     def test_audio_past_the_wav_size_limit_reports_error(self, wav_path, tmp_path, capsys):
@@ -192,7 +197,7 @@ class TestDecode:
         )
         assert code == 1
         assert stdout == ""
-        assert stderr.startswith("error: ValueError: ")
+        assert stderr.startswith("error: InvalidOption: ")
         assert stderr.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "segs.txt"]
 
@@ -212,7 +217,7 @@ class TestDecode:
             "--codec", "toy", "--decimation", "0",
         )
         assert (code, stdout) == (1, "")
-        assert stderr == "error: ValueError: decimation must be >= 1, got 0\n"
+        assert stderr == "error: InvalidOption: decimation must be >= 1, got 0\n"
         assert not (tmp_path / "z.wav").exists()
 
 
@@ -304,7 +309,28 @@ class TestSimulate:
             "--out", str(tmp_path / "o.txt"), "--loss", "1.5",
         )
         assert code == 1
-        assert "error:" in stderr
+        assert stderr == "error: InvalidOption: loss probability 1.5 outside [0, 1]\n"
+
+    @pytest.mark.parametrize("through", ["same-path", "symlink"])
+    def test_log_naming_the_out_file_is_refused(self, wav_path, tmp_path, capsys, through):
+        # Refused before anything is written: the log would replace the delivered lines.
+        seg_file = self.make_segments(tmp_path, capsys, wav_path)
+        out = tmp_path / "d.txt"
+        log = out
+        if through == "symlink":
+            out.write_bytes(b"old\n")
+            log = tmp_path / "log.txt"
+            log.symlink_to("d.txt")
+        code, stdout, stderr = run(capsys, "simulate", "--in", seg_file, "--out", str(out),
+                                   "--log", str(log), "--loss", ".1")
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: InvalidOption: --log {str(log)!r} and --out {str(out)!r} "
+                          "name the same file\n")
+        if through == "symlink":
+            assert out.read_bytes() == b"old\n" and log.is_symlink()
+        else:
+            assert not out.exists()
+        assert not list(tmp_path.glob(".voicesms-*"))
 
 
 class TestStats:
@@ -611,3 +637,86 @@ def test_help_width_is_read_when_help_prints(capsys, monkeypatch):
     for columns in (80, 120):
         monkeypatch.setenv("COLUMNS", str(columns))
         assert (0, help_text(capsys, "encode")) == fresh_main("encode", "--help", columns=columns)
+
+
+# The error contract: bad input names a VoiceSmsError, an environment fault
+# an OSError, each on one line with exit 1; anything else is a bug.
+NOT_TEXT = b"000\xff\xfe\n"
+
+
+def test_invalid_option_and_not_text_are_voicesms_errors_and_value_errors():
+    for cls in (InvalidOption, NotText):
+        assert issubclass(cls, VoiceSmsError) and issubclass(cls, ValueError)
+
+
+def test_a_value_error_from_a_bug_propagates(wav_path, tmp_path, capsys, monkeypatch):
+    seg_file = str(tmp_path / "segs.txt")
+    assert run(capsys, "encode", "--in", wav_path, "--out", seg_file)[0] == 0
+
+    def broken(messages, cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "transmit", broken)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["simulate", "--in", seg_file, "--out", str(tmp_path / "d.txt")])
+
+
+@pytest.mark.parametrize("command", ["simulate", "decode"])
+def test_a_segments_file_that_is_not_utf8_names_not_text(command, tmp_path, capsys):
+    src = tmp_path / "segs.txt"
+    src.write_bytes(NOT_TEXT)
+    code, stdout, stderr = run(capsys, command, "--in", str(src), "--out", str(tmp_path / "o"))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: NotText: {str(src)!r} is not UTF-8 text: invalid start byte at byte 3\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["segs.txt"]
+
+
+_HOSTILE_FLAGS = ("--decimation", "--capacity", "--group", "--loss", "--dup", "--delay",
+                  "--seed", "--rate", "--bits")
+# 10**12 is refused before anything is allocated. A decimation near 2e9 is
+# never drawn: decoding a non-empty toy stream there would allocate gigabytes.
+_HOSTILE_VALUES = ("0", "-1", "nan", "inf", str(10**12))
+_WAV = write_wav(make_clip(200, seed=3))
+# besides these, a valid input: a WAV for the commands that read one, else a segments file
+_INPUTS = {"truncated-wav": _WAV[:len(_WAV) // 2], "empty": b"", "not-text": NOT_TEXT}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_run_succeeds_or_names_its_error(data):
+    command = data.draw(st.sampled_from(sorted(CONTRACT)), label="command")
+    options = CONTRACT[command][0].split()
+    source = data.draw(st.sampled_from(["valid", *_INPUTS]), label="input")
+    argv = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        argv += [data.draw(st.sampled_from([f for f in _HOSTILE_FLAGS if f in options])),
+                 data.draw(st.sampled_from(_HOSTILE_VALUES))]
+    if "--codec" in options and data.draw(st.booleans()):
+        argv += ["--codec", data.draw(st.sampled_from(["pcm", "ulaw", "toy"]))]
+    if source != "valid":
+        content = _INPUTS[source]
+    elif command in ("encode", "stats", "roundtrip"):
+        content = _WAV
+    else:
+        content = b"000ABCD\n001EFGH\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "in")
+        Path(src).write_bytes(content)
+        argv = [command, "--in", src, *argv]
+        if "--out" in options:
+            argv += ["--out", os.path.join(tmp, "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the value
+                code = exc.code
+                assert code == 2
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    elif code == 1:
+        line, = err.getvalue().splitlines()
+        name = re.match(r"error: (\w+): ", line).group(1)
+        reported = getattr(errors, name, None) or getattr(builtins, name)
+        assert issubclass(reported, (VoiceSmsError, OSError))

@@ -12,21 +12,31 @@ Three codecs produce the byte stream that gets textualised and segmented:
 The u-law code operates on the 14-bit domain (-8192..8191). 16-bit samples
 are arithmetic-shifted right by 2 on the way in and left by 2 on the way
 out. ``ulaw_encode_sample`` and ``ulaw_decode_sample`` are the scalar spec;
-the codecs apply it through tables built from it: encode looks each sample
-up in a 65,536-entry ``list`` built on first use, and decode maps the
-stream through two 256-byte tables built at import. The encode table is a
-list because ``map`` calls ``list.__getitem__`` directly, with no argument
-tuple per sample; it costs 512 KiB once per process. Note the classic
-u-law quirk: the negative-zero octet 0x7F decodes to 0 and therefore
-re-encodes as the canonical zero 0xFF; every other octet survives a
-decode/encode round trip unchanged.
+the codecs apply it through tables built from it, with no Python-level
+call per sample.
+
+Encode reads the kept samples as one little-endian integer with a 16-bit
+lane per sample. A few whole-integer operations turn each lane into
+``w = 4 * biased``, where ``biased`` is the spec's biased magnitude: ``s +
+132`` for ``s >= 0`` and ``~s + 136`` for ``s < 0``, at most 32,903, so no
+lane carries into the next. The chord boundaries of ``w`` fall on
+multiples of 256, so its high byte ``hw`` fixes the chord and the code's
+upper bits, and its low byte ``lw`` adds the rest:
+``code = F[hw] + G[CLS[hw] | lw >> 3]``, where ``CLS[hw]`` is
+``min(hw.bit_length(), 5) << 5``. Each lookup is a ``bytes.translate`` of
+a byte plane, and each join of two planes is one ``|``, ``+`` or ``^`` on
+their integers; no byte exceeds 127 before the final sign mask, so no
+carry crosses a byte. The tables are built from ``ulaw_encode_sample`` on
+the first companded encode, not at import. Decode maps the stream through
+two 256-byte tables built at import. Note the classic u-law quirk: the
+negative-zero octet 0x7F decodes to 0 and therefore re-encodes as the
+canonical zero 0xFF; every other octet survives a decode/encode round
+trip unchanged.
 """
 
 import enum
 import functools
 import struct
-import sys
-from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -210,16 +220,28 @@ def _hold(kind: CodecKind, decimation: int) -> int:
 
 
 @functools.cache
-def _ulaw_encode_table() -> list[int]:
-    """The u-law octet of every 16-bit sample, indexed by the sample read
-    as unsigned (``s & 0xFFFF``). Built on first use, not at import.
-    Shared by every caller, so nothing may write to it."""
-    # the 14-bit domain in unsigned order: 0..8191, then -8192..-1
-    low14 = list(map(ulaw_encode_sample, (*range(0x2000), *range(-0x2000, 0))))
-    table = [0] * 0x10000
-    for low_bits in range(4):  # s >> 2 drops two bits: each octet four times
-        table[low_bits::4] = low14
-    return table
+def _ulaw_encode_tables() -> tuple[bytes, bytes, bytes, bytes, bytes]:
+    """The ``bytes.translate`` tables of ``codec_encode``: ``CLS``, ``lw >> 3``,
+    ``F``, ``G`` and, per high byte of a sample, the mask its code is XORed
+    with. Built on first use, not at import."""
+    def code(w: int) -> int:  # the 7 code bits; below 132, w takes no sample
+        return ulaw_encode_sample((max(w, 132) >> 2) - _ULAW_BIAS) ^ 0xFF
+
+    cls = bytes(min(hw.bit_length(), 5) << 5 for hw in range(256))
+    # w is at most 32,903, so no hw past 128 (the clip) and no key past 0xBF is read
+    f = bytes(map(code, range(0, 0x8100, 0x100))).ljust(256, b"\0")
+
+    def g_entry(key: int) -> int:  # the same for every hw of the key's class: take the first
+        hw = cls.index(key & 0xE0)
+        return code(hw << 8 | (key & 0x1F) << 3) - f[hw]
+
+    g = bytes(map(g_entry, range(0xC0))).ljust(256, b"\0")
+    return (cls, bytes(b >> 3 for b in range(256)), f, g,
+            bytes(0x7F if b >> 7 else 0xFF for b in range(256)))
+
+
+def _int(plane: bytes) -> int:
+    return int.from_bytes(plane, "little")
 
 
 def codec_encode(clip: AudioClip, kind: CodecKind,
@@ -232,10 +254,18 @@ def codec_encode(clip: AudioClip, kind: CodecKind,
         return clip.data
     if clip.bit_depth != 16:
         raise UnsupportedCombination(f"{kind.value} requires a 16-bit clip, got {clip.bit_depth}-bit")
-    samples = array("H", clip.data)
-    if sys.byteorder == "big":
-        samples.byteswap()  # data is little-endian
-    return bytes(map(_ulaw_encode_table().__getitem__, samples[::_hold(kind, decimation)]))
+    data = memoryview(clip.data).cast("H")[::_hold(kind, decimation)].tobytes()
+    cls, shr3, f, g, sign = _ulaw_encode_tables()
+    n = len(data) // 2
+    lanes = _int(data)
+    ones = _int(b"\1\0" * n)
+    neg = (lanes >> 15) & ones
+    # per lane s + 132, or ~s + 136 where s < 0: at most 32,903, so no lane carries
+    w = ((lanes ^ neg * 0xFFFF) + 132 * ones + (neg << 2)).to_bytes(2 * n, "little")
+    lw, hw = w[0::2], w[1::2]
+    key = (_int(hw.translate(cls)) | _int(lw.translate(shr3))).to_bytes(n, "little")
+    code = _int(hw.translate(f)) + _int(key.translate(g))
+    return (code ^ _int(data[1::2].translate(sign))).to_bytes(n, "little")
 
 
 def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,

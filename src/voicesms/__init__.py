@@ -9,6 +9,7 @@ from .audio import (
     DEFAULT_DECIMATION,
     AudioClip,
     CodecKind,
+    CodecSpec,
     codec_decode,
     codec_encode,
     read_wav,

@@ -9,6 +9,9 @@ Three codecs produce the byte stream that gets textualised and segmented:
   fully documented lossy codec used to demonstrate how compression shrinks
   the message count. Decode repeats each sample D times (zero-order hold).
 
+A frozen ``CodecSpec`` names the codec and D, and checks both once, on
+construction; ``codec_encode`` and ``codec_decode`` each take one.
+
 The u-law code operates on the 14-bit domain (-8192..8191). 16-bit samples
 are arithmetic-shifted right by 2 on the way in and left by 2 on the way
 out. ``ulaw_encode_sample`` and ``ulaw_decode_sample`` are the scalar spec;
@@ -56,6 +59,26 @@ class CodecKind(enum.Enum):
     PCM = "pcm"
     ULAW = "ulaw"
     TOY_COMPRESSED = "toy"
+
+
+@dataclass(frozen=True)
+class CodecSpec:
+    """One codec and its decimation D, checked once, on construction.
+    PCM and ULAW accept any D and ignore it."""
+
+    kind: CodecKind = CodecKind.PCM
+    decimation: int = DEFAULT_DECIMATION
+
+    def __post_init__(self):
+        if not isinstance(self.kind, CodecKind):
+            raise InvalidOption(f"unknown codec {self.kind!r}")
+        if self.kind is CodecKind.TOY_COMPRESSED and self.decimation < 1:
+            raise InvalidOption(f"decimation must be >= 1, got {self.decimation}")
+
+    @property
+    def step(self) -> int:
+        """Samples per u-law octet: ULAW is TOY_COMPRESSED with a step of 1."""
+        return self.decimation if self.kind is CodecKind.TOY_COMPRESSED else 1
 
 
 def _check_data_size(n: int) -> None:
@@ -208,17 +231,6 @@ _ULAW_LOW, _ULAW_HIGH = (bytes((ulaw_decode_sample(octet) << 2 >> shift) & 0xFF 
                          for shift in (0, 8))
 
 
-def _hold(kind: CodecKind, decimation: int) -> int:
-    """Samples per u-law octet: ULAW is TOY_COMPRESSED with a step of 1."""
-    if kind is CodecKind.ULAW:
-        return 1
-    if kind is CodecKind.TOY_COMPRESSED:
-        if decimation < 1:
-            raise InvalidOption(f"decimation must be >= 1, got {decimation}")
-        return decimation
-    raise InvalidOption(f"unknown codec {kind!r}")
-
-
 @functools.cache
 def _ulaw_encode_tables() -> tuple[bytes, bytes, bytes, bytes, bytes]:
     """The ``bytes.translate`` tables of ``codec_encode``: ``CLS``, ``lw >> 3``,
@@ -244,17 +256,16 @@ def _int(plane: bytes) -> int:
     return int.from_bytes(plane, "little")
 
 
-def codec_encode(clip: AudioClip, kind: CodecKind,
-                 decimation: int = DEFAULT_DECIMATION) -> bytes:
+def codec_encode(clip: AudioClip, spec: CodecSpec) -> bytes:
     """Turn a clip into the byte stream that will ride inside messages.
 
     PCM emits the clip's WAV data chunk; ULAW and TOY_COMPRESSED need a 16-bit clip.
     """
-    if kind is CodecKind.PCM:
+    if spec.kind is CodecKind.PCM:
         return clip.data
     if clip.bit_depth != 16:
-        raise UnsupportedCombination(f"{kind.value} requires a 16-bit clip, got {clip.bit_depth}-bit")
-    data = memoryview(clip.data).cast("H")[::_hold(kind, decimation)].tobytes()
+        raise UnsupportedCombination(f"{spec.kind.value} requires a 16-bit clip, got {clip.bit_depth}-bit")
+    data = memoryview(clip.data).cast("H")[::spec.step].tobytes()
     cls, shr3, f, g, sign = _ulaw_encode_tables()
     n = len(data) // 2
     lanes = _int(data)
@@ -268,19 +279,17 @@ def codec_encode(clip: AudioClip, kind: CodecKind,
     return (code ^ _int(data[1::2].translate(sign))).to_bytes(n, "little")
 
 
-def codec_decode(stream: bytes, kind: CodecKind, sample_rate_hz: int,
-                 bit_depth: int = 16,
-                 decimation: int = DEFAULT_DECIMATION) -> AudioClip:
+def codec_decode(stream: bytes, spec: CodecSpec, sample_rate_hz: int,
+                 bit_depth: int = 16) -> AudioClip:
     """Rebuild a clip from a codec byte stream.
 
     ``bit_depth`` matters only for PCM, where the stream alone cannot tell
     8-bit from 16-bit data. ULAW and TOY_COMPRESSED always reconstruct a
-    16-bit clip; TOY_COMPRESSED holds each decoded sample for ``decimation``
-    ticks.
+    16-bit clip, holding each decoded sample for ``spec.step`` ticks.
     """
-    if kind is CodecKind.PCM:
+    if spec.kind is CodecKind.PCM:
         return AudioClip(sample_rate_hz, bit_depth, stream)
-    stride = 2 * _hold(kind, decimation)
+    stride = 2 * spec.step
     if not stream:  # the tick loop below runs stride // 2 times, whatever the length
         return AudioClip(sample_rate_hz, 16, b"")
     _check_data_size(stride * len(stream))  # before allocating it

@@ -21,7 +21,7 @@ import functools
 import os
 import sys
 
-from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, read_wav, write_wav
+from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, CodecSpec, read_wav, write_wav
 from .channel import ChannelConfig, render_channel_log, transmit
 from .errors import InvalidOption, NotText, VoiceSmsError
 from .metrics import compare, decode, encode, render_csv, render_table
@@ -147,10 +147,14 @@ def _segmentation_config(args) -> SegmentationConfig:
     return SegmentationConfig(args.capacity, CostModel(args.cost), args.group)
 
 
+def _codec_spec(args) -> CodecSpec:
+    return CodecSpec(CodecKind(args.codec), args.decimation)
+
+
 def _encode_text(clip: AudioClip, args) -> tuple[str, str]:
     """WAV clip -> segments file text, and the encode summary line."""
-    segments, report = encode(clip, CodecKind(args.codec), _segmentation_config(args),
-                              args.decimation)
+    cfg = _segmentation_config(args)
+    segments, report = encode(clip, _codec_spec(args), cfg)
     summary = (f"chars={report.char_count} messages={report.message_count} "
                f"connected={report.connected_count}")
     return render_segments_file(segments), summary
@@ -167,8 +171,8 @@ def _simulate_text(text: str, args) -> tuple[str, list[tuple[int, ...]], str]:
 
 def _decode_text(text: str, args, rate: int, bits: int) -> tuple[AudioClip, str]:
     """Segments file text -> rebuilt clip, and the decode summary line."""
-    clip, report = decode(parse_segments_file(text), CodecKind(args.codec),
-                          ReassemblyPolicy(args.policy), rate, bits, args.decimation)
+    clip, report = decode(parse_segments_file(text), _codec_spec(args),
+                          ReassemblyPolicy(args.policy), rate, bits)
     summary = (f"rate={rate} samples={clip.sample_count} "
                f"received={len(report.received_indices)} "
                f"missing={','.join(map(str, report.missing_indices)) or '-'} "
@@ -209,7 +213,8 @@ def cmd_simulate(args) -> None:
 def cmd_stats(args) -> None:
     clip = read_wav(_read_bytes(args.in_path))
     kinds = [CodecKind(name) for name in args.codecs] if args.codecs else list(CodecKind)
-    reports = compare(clip, kinds, _segmentation_config(args), args.decimation)
+    cfg = _segmentation_config(args)
+    reports = compare(clip, [CodecSpec(kind, args.decimation) for kind in kinds], cfg)
     sys.stdout.write(render_csv(reports) if args.csv else render_table(reports))
 
 

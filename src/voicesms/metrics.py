@@ -6,14 +6,14 @@ whatever segments arrive. File framing stays with the caller on both sides.
 The accounting: character count equals the codec's byte count (the payload
 mapping is one code point per byte), message count is the greedy segment
 count, and the connected count groups messages ``group_size`` at a time.
-``compare`` counts the cuts without building segments, and takes the
-``toy`` stream as every D-th byte of a ``ulaw`` stream it has already
-encoded.
+``compare`` counts the cuts without building segments, and takes a
+``toy`` stream as every ``step``-th byte of a ``ulaw`` stream it has
+already encoded.
 """
 
 from dataclasses import dataclass
 
-from .audio import DEFAULT_DECIMATION, AudioClip, CodecKind, _hold, codec_decode, codec_encode
+from .audio import AudioClip, CodecKind, CodecSpec, codec_decode, codec_encode
 from .errors import InvalidOption
 from .reassembly import ReassemblyPolicy, ReassemblyReport, reassemble
 from .segmentation import Segment, SegmentationConfig, _cuts, segment
@@ -41,27 +41,26 @@ def _row(r: TransmissionReport) -> list[str]:
             str(r.config.capacity), r.config.cost_model.value, str(r.config.group_size)]
 
 
-def encode(clip: AudioClip, kind: CodecKind, cfg: SegmentationConfig,
-           decimation: int = DEFAULT_DECIMATION) -> tuple[list[Segment], TransmissionReport]:
+def encode(clip: AudioClip, spec: CodecSpec,
+           cfg: SegmentationConfig) -> tuple[list[Segment], TransmissionReport]:
     """Run the codec and pack its bytes into segments; return the segments
     and the report tallying their three counts.
 
     Performs no transmission. A stream too long for the index space
     propagates :class:`SegmentOverflow`.
     """
-    data = codec_encode(clip, kind, decimation)
+    data = codec_encode(clip, spec)
     segments = segment(data, cfg)
     return segments, TransmissionReport(
-        codec=kind,
+        codec=spec.kind,
         config=cfg,
         char_count=len(data),
         message_count=len(segments),
     )
 
 
-def decode(segments, kind: CodecKind, policy: ReassemblyPolicy, sample_rate_hz: int,
-           bit_depth: int = 16,
-           decimation: int = DEFAULT_DECIMATION) -> tuple[AudioClip, ReassemblyReport]:
+def decode(segments, spec: CodecSpec, policy: ReassemblyPolicy, sample_rate_hz: int,
+           bit_depth: int = 16) -> tuple[AudioClip, ReassemblyReport]:
     """Run reassembly -> codec; return the rebuilt clip and the report of
     which indices arrived.
 
@@ -71,29 +70,28 @@ def decode(segments, kind: CodecKind, policy: ReassemblyPolicy, sample_rate_hz: 
     :class:`MissingSegments`.
     """
     data, report = reassemble(segments, policy)
-    clip = codec_decode(data, kind, sample_rate_hz, bit_depth, decimation)
+    clip = codec_decode(data, spec, sample_rate_hz, bit_depth)
     return clip, report
 
 
-def compare(clip: AudioClip, kinds, cfg: SegmentationConfig,
-            decimation: int = DEFAULT_DECIMATION) -> list[TransmissionReport]:
-    """One report per codec, in the order requested, equal to ``encode``'s.
+def compare(clip: AudioClip, specs, cfg: SegmentationConfig) -> list[TransmissionReport]:
+    """One report per spec, in the order requested, equal to ``encode``'s.
 
     Counts the cuts without building segments. Once ``ulaw`` is encoded,
-    ``toy`` is every D-th byte of it, as its codec defines.
+    each ``toy`` stream is every ``step``-th byte of it, as its codec defines.
     """
-    kinds = list(kinds)
-    if not kinds:
+    specs = list(specs)
+    if not specs:
         raise InvalidOption("at least one codec is required")
     reports, ulaw = [], None
-    for kind in kinds:
-        if kind is CodecKind.TOY_COMPRESSED and ulaw is not None:
-            data = ulaw[::_hold(kind, decimation)]
+    for spec in specs:
+        if spec.kind is CodecKind.TOY_COMPRESSED and ulaw is not None:
+            data = ulaw[::spec.step]
         else:
-            data = codec_encode(clip, kind, decimation)
-            if kind is CodecKind.ULAW:
+            data = codec_encode(clip, spec)
+            if spec.kind is CodecKind.ULAW:
                 ulaw = data
-        reports.append(TransmissionReport(kind, cfg, len(data), len(_cuts(data, cfg))))
+        reports.append(TransmissionReport(spec.kind, cfg, len(data), len(_cuts(data, cfg))))
     return reports
 
 

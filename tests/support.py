@@ -5,7 +5,9 @@ import struct
 
 from hypothesis import strategies as st
 
-from voicesms import AudioClip, BadIndex, InvalidCodePoint, Segment
+from voicesms import AudioClip, BadIndex, CodecKind, CodecSpec, InvalidCodePoint, Segment
+
+PCM, ULAW, TOY = map(CodecSpec, CodecKind)  # TOY at the default decimation
 
 
 def build_wav(samples, sample_rate=8000, bit_depth=16, channels=1) -> bytes:

@@ -18,6 +18,7 @@ from voicesms import (
     AudioClip,
     ChannelConfig,
     CodecKind,
+    CodecSpec,
     CostModel,
     ReassemblyPolicy,
     SegmentationConfig,
@@ -88,13 +89,13 @@ def test_c03_ten_second_pcm_round_trip_under_1s():
     cfg = SegmentationConfig(capacity=160)
 
     def round_trip():
-        data = codec_encode(clip, CodecKind.PCM)
+        data = codec_encode(clip, CodecSpec(CodecKind.PCM))
         segments = segment(data, cfg)
         text = render_segments_file(segments)
         stream, report = reassemble(
             parse_segments_file(text), ReassemblyPolicy.STRICT
         )
-        back = codec_decode(stream, CodecKind.PCM, clip.sample_rate_hz)
+        back = codec_decode(stream, CodecSpec(CodecKind.PCM), clip.sample_rate_hz)
         assert report.missing_indices == ()
         assert len(segments) == 1000
         return back
@@ -206,16 +207,15 @@ def test_c07_codec_ordering_for_second_long_clips():
     for n in (8_000, 12_345, 20_000, 80_000):
         clip = make_clip(n, seed=n)
         assert clip.sample_count / clip.sample_rate_hz >= 1.0
-        pcm = encode(clip, CodecKind.PCM, SegmentationConfig(capacity=160))[1]
-        ulaw = encode(clip, CodecKind.ULAW, SegmentationConfig(capacity=160))[1]
-        toy = encode(clip, CodecKind.TOY_COMPRESSED, SegmentationConfig(capacity=160),
-                     decimation=4)[1]
+        pcm = encode(clip, CodecSpec(CodecKind.PCM), SegmentationConfig(capacity=160))[1]
+        ulaw = encode(clip, CodecSpec(CodecKind.ULAW), SegmentationConfig(capacity=160))[1]
+        toy = encode(clip, CodecSpec(CodecKind.TOY_COMPRESSED, 4), SegmentationConfig(capacity=160))[1]
         assert toy.message_count < ulaw.message_count < pcm.message_count
         assert ulaw.char_count * 2 == pcm.char_count
     # The same ordering holds at the default capacity for clips that fit.
     clip = make_clip(8_000, seed=7)
     counts = [
-        encode(clip, kind, cfg, decimation=4)[1].message_count
+        encode(clip, CodecSpec(kind, 4), cfg)[1].message_count
         for kind in (CodecKind.TOY_COMPRESSED, CodecKind.ULAW, CodecKind.PCM)
     ]
     assert counts[0] < counts[1] < counts[2]
@@ -272,7 +272,7 @@ def test_c10_rendered_text_is_control_free_and_file_round_trips():
             capacity=rng.randint(20, 200),
             cost_model=rng.choice(list(CostModel)),
         )
-        data = codec_encode(clip, kind)
+        data = codec_encode(clip, CodecSpec(kind))
         segments = segment(data, cfg)
         text = render_segments_file(segments)
 

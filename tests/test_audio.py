@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 import voicesms.audio as audio
 from g711_ref import ref_decode_table, ref_encode, ref_error_bound
-from support import build_wav, clips, make_clip, pcm_clip, samples
+from support import PCM, TOY, ULAW, build_wav, clips, make_clip, pcm_clip, samples
 from voicesms import (
+    DEFAULT_DECIMATION,
     AudioClip,
     CodecKind,
+    CodecSpec,
+    InvalidOption,
     LengthMismatch,
     MalformedContainer,
     UnsupportedCombination,
@@ -35,10 +38,10 @@ EXTREMES = [-32768, 32767, 0, -1]  # the largest lanes of each sign, and the sam
 
 def assert_encodes_like_reference(values):
     """ulaw is the oracle per sample, and toy at D = 1..5 is ulaw[::D]."""
-    ulaw = codec_encode(pcm_clip(values), CodecKind.ULAW)
+    ulaw = codec_encode(pcm_clip(values), ULAW)
     assert ulaw == bytes(ref_encode(s >> 2) for s in values)
     for d in range(1, 6):
-        assert codec_encode(pcm_clip(values), CodecKind.TOY_COMPRESSED, decimation=d) == ulaw[::d]
+        assert codec_encode(pcm_clip(values), CodecSpec(CodecKind.TOY_COMPRESSED, d)) == ulaw[::d]
 
 
 def fmt16(rate=8000, byte_rate=16000, block_align=2) -> bytes:
@@ -285,32 +288,30 @@ class TestWavContainer:
 class TestCodecs:
     def test_stream_lengths(self):
         clip = make_clip(100)
-        assert len(codec_encode(clip, CodecKind.PCM)) == 200
-        assert len(codec_encode(clip, CodecKind.ULAW)) == 100
-        assert len(codec_encode(clip, CodecKind.TOY_COMPRESSED)) == 25
-        assert len(codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=7)) == 15
+        assert len(codec_encode(clip, PCM)) == 200
+        assert len(codec_encode(clip, ULAW)) == 100
+        assert len(codec_encode(clip, TOY)) == 25
+        assert len(codec_encode(clip, CodecSpec(CodecKind.TOY_COMPRESSED, 7))) == 15
 
     def test_pcm_matches_container_data_chunk(self):
         clip = make_clip(50, seed=3)
         blob = write_wav(clip)
         size = struct.unpack_from("<I", blob, 40)[0]
-        assert codec_encode(clip, CodecKind.PCM) == blob[44 : 44 + size]
+        assert codec_encode(clip, PCM) == blob[44 : 44 + size]
 
     @given(clips())
     @settings(max_examples=50)
     def test_pcm_round_trip_lossless(self, clip):
-        stream = codec_encode(clip, CodecKind.PCM)
-        back = codec_decode(
-            stream, CodecKind.PCM, clip.sample_rate_hz, bit_depth=clip.bit_depth
-        )
+        stream = codec_encode(clip, PCM)
+        back = codec_decode(stream, PCM, clip.sample_rate_hz, bit_depth=clip.bit_depth)
         assert samples(back) == samples(clip)
         assert back.sample_rate_hz == clip.sample_rate_hz
 
     @given(clips(bit_depths=(16,)))
     @settings(max_examples=50)
     def test_ulaw_round_trip_within_quantizer_step(self, clip):
-        stream = codec_encode(clip, CodecKind.ULAW)
-        back = codec_decode(stream, CodecKind.ULAW, clip.sample_rate_hz)
+        stream = codec_encode(clip, ULAW)
+        back = codec_decode(stream, ULAW, clip.sample_rate_hz)
         assert len(samples(back)) == len(samples(clip))
         for orig, got in zip(samples(clip), samples(back)):
             # Codec works on the 14-bit top of the 16-bit word, so the
@@ -319,69 +320,65 @@ class TestCodecs:
 
     def test_ulaw_stream_is_per_sample_companding(self):
         clip = pcm_clip([0, 4, -4, 32767])
-        stream = codec_encode(clip, CodecKind.ULAW)
+        stream = codec_encode(clip, ULAW)
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in samples(clip)]
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_toy_keeps_every_dth_sample(self, d):
         # no D in 2..5 divides 41, so each stride ends on a partial step
         clip = make_clip(41, seed=9)
-        stream = codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=d)
+        stream = codec_encode(clip, CodecSpec(CodecKind.TOY_COMPRESSED, d))
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in samples(clip)[::d]]
 
     def test_toy_decode_zero_order_hold(self):
         clip = pcm_clip([1000] * 8)
-        stream = codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=4)
-        back = codec_decode(stream, CodecKind.TOY_COMPRESSED, 8000, decimation=4)
+        spec = CodecSpec(CodecKind.TOY_COMPRESSED, 4)
+        back = codec_decode(codec_encode(clip, spec), spec, 8000)
         assert len(samples(back)) == 8
         assert len(set(samples(back))) == 1  # held value repeated
 
     def test_toy_constant_clip_frozen_value(self):
         clip = pcm_clip([1000] * 8)
-        back = codec_decode(
-            codec_encode(clip, CodecKind.TOY_COMPRESSED),
-            CodecKind.TOY_COMPRESSED,
-            8000,
-        )
+        back = codec_decode(codec_encode(clip, TOY), TOY, 8000)
         assert samples(back)[0] == 988
 
     @pytest.mark.parametrize("kind", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
     def test_companded_kinds_require_sixteen_bit(self, kind):
         clip = pcm_clip([0], bit_depth=8)
         with pytest.raises(UnsupportedCombination):
-            codec_encode(clip, kind)
+            codec_encode(clip, CodecSpec(kind))
         # Decoding always reconstructs 16-bit; bit_depth only matters to PCM.
-        assert codec_decode(b"\xff", kind, 8000, bit_depth=8).bit_depth == 16
+        assert codec_decode(b"\xff", CodecSpec(kind), 8000, bit_depth=8).bit_depth == 16
 
     def test_pcm_decode_rejects_odd_length(self):
         with pytest.raises(LengthMismatch):
-            codec_decode(b"\x00\x01\x02", CodecKind.PCM, 8000, bit_depth=16)
+            codec_decode(b"\x00\x01\x02", PCM, 8000, bit_depth=16)
 
     @pytest.mark.parametrize(
         "kind, hold",
         [(CodecKind.ULAW, 1)] + [(CodecKind.TOY_COMPRESSED, d) for d in range(1, 6)],
     )
     def test_decode_matches_scalar_spec_on_every_octet(self, kind, hold):
-        back = codec_decode(bytes(range(256)), kind, 8000, decimation=hold)
+        back = codec_decode(bytes(range(256)), CodecSpec(kind, hold), 8000)
         expected = [ulaw_decode_sample(o) << 2 for o in range(256) for _ in range(hold)]
         assert samples(back) == tuple(expected)
 
     def test_ulaw_encode_matches_scalar_spec_on_every_sample(self):
         every = list(range(-32768, 32768))
-        stream = codec_encode(pcm_clip(every), CodecKind.ULAW)
+        stream = codec_encode(pcm_clip(every), ULAW)
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in every]
 
     def test_toy_encode_matches_scalar_spec_on_every_sample(self):
         every = list(range(-32768, 32768))
-        stream = codec_encode(pcm_clip(every), CodecKind.TOY_COMPRESSED, decimation=3)
+        stream = codec_encode(pcm_clip(every), CodecSpec(CodecKind.TOY_COMPRESSED, 3))
         assert list(stream) == [ulaw_encode_sample(s >> 2) for s in every[::3]]
 
     def test_table_encode_matches_reference_oracle_on_every_sample(self):
         every = list(range(-32768, 32768))
         expected = bytes(ref_encode(s >> 2) for s in every)
         clip = pcm_clip(every)
-        assert codec_encode(clip, CodecKind.ULAW) == expected
-        assert codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=3) == expected[::3]
+        assert codec_encode(clip, ULAW) == expected
+        assert codec_encode(clip, CodecSpec(CodecKind.TOY_COMPRESSED, 3)) == expected[::3]
 
     def test_shuffled_samples_match_reference_oracle(self):
         # random neighbours: in the ascending scan above, a carry leaking out of
@@ -398,13 +395,13 @@ class TestCodecs:
 
     @pytest.mark.parametrize("kind", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
     def test_sample_bytes_read_little_endian_on_any_host(self, kind):
-        assert codec_encode(AudioClip(8000, 16, b"\x00\x80"), kind) == bytes([ref_encode(-32768 >> 2)])
-        assert codec_encode(AudioClip(8000, 16, b"\x80\x00"), kind) == bytes([ref_encode(128 >> 2)])
+        assert codec_encode(AudioClip(8000, 16, b"\x00\x80"), CodecSpec(kind)) == bytes([ref_encode(-32768 >> 2)])
+        assert codec_encode(AudioClip(8000, 16, b"\x80\x00"), CodecSpec(kind)) == bytes([ref_encode(128 >> 2)])
 
     @pytest.mark.parametrize("kind", [CodecKind.ULAW, CodecKind.TOY_COMPRESSED])
     def test_empty_and_one_sample_clips(self, kind):
-        assert codec_encode(pcm_clip([]), kind) == b""
-        assert codec_encode(pcm_clip([-12345]), kind) == bytes([ulaw_encode_sample(-12345 >> 2)])
+        assert codec_encode(pcm_clip([]), CodecSpec(kind)) == b""
+        assert codec_encode(pcm_clip([-12345]), CodecSpec(kind)) == bytes([ulaw_encode_sample(-12345 >> 2)])
 
     def test_encode_table_not_built_at_import(self):
         probe = "import voicesms.cli, voicesms.audio as a; print(a._ulaw_encode_tables.cache_info())"
@@ -418,49 +415,62 @@ class TestCodecs:
         table = audio._ulaw_encode_tables
         table.cache_clear()
         clip = make_clip(10)
-        codec_encode(clip, CodecKind.PCM)
+        codec_encode(clip, PCM)
         assert table.cache_info().misses == 0
-        codec_encode(clip, first)
+        codec_encode(clip, CodecSpec(first))
         for kind in CodecKind:
-            codec_encode(clip, kind)
+            codec_encode(clip, CodecSpec(kind))
         assert (table.cache_info().misses, table.cache_info().hits) == (1, 2)
 
     def test_ulaw_ignores_decimation(self):
         clip = make_clip(10)
-        stream = codec_encode(clip, CodecKind.ULAW, decimation=0)
-        assert stream == codec_encode(clip, CodecKind.ULAW)
-        back = codec_decode(stream, CodecKind.ULAW, 8000, decimation=0)
-        assert back == codec_decode(stream, CodecKind.ULAW, 8000)
+        spec = CodecSpec(CodecKind.ULAW, 0)
+        assert spec.step == 1
+        stream = codec_encode(clip, spec)
+        assert stream == codec_encode(clip, ULAW)
+        assert codec_decode(stream, spec, 8000) == codec_decode(stream, ULAW, 8000)
 
     def test_decode_refuses_audio_past_the_limit_before_allocating(self, monkeypatch):
         monkeypatch.setattr(audio, "MAX_DATA_BYTES", 12)
-        assert codec_decode(b"\xff" * 6, CodecKind.ULAW, 8000).sample_count == 6
-        assert codec_decode(b"\xff" * 2, CodecKind.TOY_COMPRESSED, 8000, decimation=3).sample_count == 6
+        assert codec_decode(b"\xff" * 6, ULAW, 8000).sample_count == 6
+        assert codec_decode(b"\xff" * 2, CodecSpec(CodecKind.TOY_COMPRESSED, 3), 8000).sample_count == 6
         def no_allocation(size):
             raise AssertionError(f"allocated {size} bytes")
         monkeypatch.setattr(audio, "bytearray", no_allocation, raising=False)
-        for stream, kind, decimation in ((b"\xff" * 7, CodecKind.ULAW, 1),
-                                         (b"\xff", CodecKind.TOY_COMPRESSED, 7)):
+        for stream, spec in ((b"\xff" * 7, ULAW), (b"\xff", CodecSpec(CodecKind.TOY_COMPRESSED, 7))):
             with pytest.raises(ValueError, match="data chunk limit"):
-                codec_decode(stream, kind, 8000, decimation=decimation)
+                codec_decode(stream, spec, 8000)
 
     def test_unknown_codec_rejected(self):
-        # the codec's value, not the enum member
-        with pytest.raises(ValueError, match="unknown codec 'ulaw'"):
-            codec_encode(make_clip(10), "ulaw")
-        with pytest.raises(ValueError, match="unknown codec 'ulaw'"):
-            codec_decode(b"\xff", "ulaw", 8000)
+        # the codec's value, not the enum member, is refused on construction
+        for decimation in (4, 0):
+            with pytest.raises(InvalidOption) as info:
+                CodecSpec("ulaw", decimation)
+            assert str(info.value) == "unknown codec 'ulaw'"
 
     def test_bad_decimation_rejected(self):
-        clip = make_clip(10)
-        with pytest.raises(ValueError):
-            codec_encode(clip, CodecKind.TOY_COMPRESSED, decimation=0)
+        for decimation in (0, -1):
+            with pytest.raises(InvalidOption) as info:
+                CodecSpec(CodecKind.TOY_COMPRESSED, decimation)
+            assert str(info.value) == f"decimation must be >= 1, got {decimation}"
 
     def test_empty_toy_stream_decodes_at_once_at_any_decimation(self):
         # nothing to hold, so the time must not follow the decimation
         started = time.perf_counter()
-        clip = codec_decode(b"", CodecKind.TOY_COMPRESSED, 8000, decimation=2_000_000_000)
+        clip = codec_decode(b"", CodecSpec(CodecKind.TOY_COMPRESSED, 2_000_000_000), 8000)
         assert time.perf_counter() - started < 1
         assert clip == AudioClip(8000, 16, b"")
-        with pytest.raises(ValueError, match="decimation must be >= 1, got 0"):
-            codec_decode(b"", CodecKind.TOY_COMPRESSED, 8000, decimation=0)
+
+
+class TestCodecSpec:
+    def test_defaults_to_pcm_at_the_default_decimation(self):
+        assert CodecSpec() == CodecSpec(CodecKind.PCM, DEFAULT_DECIMATION) == PCM
+
+    @pytest.mark.parametrize("kind", [CodecKind.PCM, CodecKind.ULAW])
+    @pytest.mark.parametrize("decimation", [0, -1])
+    def test_pcm_and_ulaw_accept_any_decimation(self, kind, decimation):
+        assert CodecSpec(kind, decimation).step == 1
+
+    @pytest.mark.parametrize("decimation", [1, 3, 4])
+    def test_toy_steps_by_its_decimation(self, decimation):
+        assert CodecSpec(CodecKind.TOY_COMPRESSED, decimation).step == decimation

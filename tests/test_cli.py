@@ -148,6 +148,22 @@ class TestDecode:
         assert not (tmp_path / "o.wav").exists()
 
     @pytest.mark.parametrize("text, diagnostic", [
+        ("000AB\n002CD\n", "error: InvalidOption: decimation must be >= 1, got 0"),
+        ("000AB\nxx\n", "error: BadIndex: line 2: index prefix 'xx' is not three decimal digits"),
+    ], ids=["gap", "unparsable"])
+    def test_codec_spec_is_checked_after_parsing_and_before_reassembly(self, tmp_path, capsys,
+                                                                      text, diagnostic):
+        seg_file = tmp_path / "segs.txt"
+        seg_file.write_text(text, encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, "decode", "--in", str(seg_file), "--out", str(tmp_path / "o.wav"),
+            "--policy", "strict", "--codec", "toy", "--decimation", "0",
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines() == [diagnostic]
+        assert not (tmp_path / "o.wav").exists()
+
+    @pytest.mark.parametrize("text, diagnostic", [
         ("000AB\nxx\n", "error: BadIndex: line 2: index prefix 'xx' is not three decimal digits"),
         ("000AB\n99\n", "error: BadIndex: line 2: index prefix '99' is not three decimal digits"),
         ("000A\x05\n", "error: InvalidCodePoint: line 1: code point 5 outside the legal range 32..287"),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from voicesms import (
     BadIndex,
     CodecKind,
+    CodecSpec,
     InvalidCodePoint,
     ReassemblyPolicy,
     Segment,
@@ -85,7 +86,7 @@ def test_every_stage_rejects_an_illegal_point(bad):
     with pytest.raises(TypeError):
         segment(text, SegmentationConfig())
     with pytest.raises(TypeError):
-        decode([Segment(0, text)], CodecKind.PCM, ReassemblyPolicy.LOOSE, 8000)
+        decode([Segment(0, text)], CodecSpec(CodecKind.PCM), ReassemblyPolicy.LOOSE, 8000)
     # only parsing sees text
     with pytest.raises(InvalidCodePoint, match=f"^code point {ord(bad)} "):
         codepoints_to_bytes(text)

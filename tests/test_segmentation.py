@@ -9,6 +9,7 @@ from voicesms import (
     AudioClip,
     CapacityTooSmall,
     CodecKind,
+    CodecSpec,
     CostModel,
     Segment,
     SegmentationConfig,
@@ -65,7 +66,7 @@ def assert_packs_like_reference(data, capacity, model):
 
 def counted(data, cfg):
     """``compare``'s message count for ``data``, carried as an 8-bit pcm clip's bytes."""
-    return compare(AudioClip(8000, 8, data), [CodecKind.PCM], cfg)[0].message_count
+    return compare(AudioClip(8000, 8, data), [CodecSpec(CodecKind.PCM)], cfg)[0].message_count
 
 
 def outcome(run):

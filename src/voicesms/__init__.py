@@ -17,7 +17,7 @@ from .audio import (
     ulaw_encode_sample,
     write_wav,
 )
-from .channel import ChannelConfig, SplitMix64, render_channel_log, transmit
+from .channel import ChannelConfig, render_channel_log, transmit
 from .errors import (
     BadIndex,
     CapacityTooSmall,

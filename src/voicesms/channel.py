@@ -12,8 +12,9 @@ is fully specified here so tests (or a foreign implementation) can replay it:
     z = ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output = z XOR (z >> 31)
 
-Unit-interval draws take the top 53 bits: u = (output >> 11) * 2^-53.
-Bounded draws are output mod bound.
+``_splitmix64`` states it once in code; ``transmit`` pulls its outputs in
+draw order. Unit-interval draws take the top 53 bits:
+u = (output >> 11) * 2^-53. Bounded draws are output mod bound.
 
 Draw discipline per input message, in order:
   1. one unit draw; the message is dropped when u < loss_probability
@@ -41,28 +42,14 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """The 64-bit generator specified in the module docstring."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+def _splitmix64(seed: int):
+    """Yield the outputs of the generator specified in the module docstring."""
+    state = seed & _MASK64
+    while True:
+        state = (state + _GAMMA) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_unit(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def next_below(self, bound: int) -> int:
-        """Uniform-ish integer in [0, bound) via modulo."""
-        return self.next_u64() % bound
+        yield z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -90,17 +77,16 @@ def transmit(messages, cfg: ChannelConfig) -> tuple[list[str], list[tuple[int, .
     """
     messages = list(messages)
     n = len(messages)
-    rng = SplitMix64(cfg.seed)
-    unit, below = rng.next_unit, rng.next_below
+    draw = _splitmix64(cfg.seed).__next__
     loss, dup, span = cfg.loss_probability, cfg.duplication_probability, cfg.max_extra_delay + 1
     log: list[tuple[int, ...]] = []
     for position in range(n):
-        if unit() < loss:
+        if (draw() >> 11) * 2.0 ** -53 < loss:
             log.append(())
-        elif unit() < dup:
-            log.append((position + below(span), position + below(span)))
+        elif (draw() >> 11) * 2.0 ** -53 < dup:
+            log.append((position + draw() % span, position + draw() % span))
         else:
-            log.append((position + below(span),))
+            log.append((position + draw() % span,))
     keys = sorted([tick * n + position for position, ticks in enumerate(log) for tick in ticks])
     return [messages[key % n] for key in keys], log
 

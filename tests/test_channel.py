@@ -1,10 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voicesms import (
     ChannelConfig,
-    SplitMix64,
     render_channel_log,
     transmit,
 )
@@ -42,37 +43,45 @@ def ref_transmit(messages, loss, dup, delay, seed):
     return [text for *_k, text in pending], log
 
 
-class TestSplitMix64:
-    def test_known_answer_seed_zero(self):
-        # Canonical first outputs of splitmix64 seeded with 0.
-        rng = SplitMix64(0)
-        assert rng.next_u64() == 0xE220A8397B1DCDAF
-        assert rng.next_u64() == 0x6E789E6AA1B965F4
-        assert rng.next_u64() == 0x06C45D188009454F
+# The canonical first three outputs of splitmix64 seeded with 0.
+OUT1, OUT2, OUT3 = 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+# With no loss or duplication and every delay allowed, message k takes
+# outputs 3k + 1 and 3k + 2 for its unit draws and lands at k + output 3k + 3.
+WIDEST = 2**64 - 1
 
-    @given(st.integers(min_value=0, max_value=MASK))
+
+class TestSplitMix64:
+    """The generator, seen through ``transmit``: the only place that draws."""
+
+    def test_known_answer_seed_zero(self):
+        assert transmit(["m"], ChannelConfig(max_extra_delay=WIDEST))[1] == [(OUT3,)]
+
+    @given(st.integers(min_value=0, max_value=MASK), st.integers(0, 5))
     @settings(max_examples=50)
-    def test_matches_reference_kernel(self, seed):
-        rng = SplitMix64(seed)
-        state = seed
-        for _ in range(10):
-            state, expected = ref_next(state)
-            assert rng.next_u64() == expected
+    def test_matches_reference_kernel(self, seed, count):
+        outputs, state = [], seed
+        for _ in range(3 * count):
+            state, raw = ref_next(state)
+            outputs.append(raw)
+        _, log = transmit(["m"] * count, ChannelConfig(max_extra_delay=WIDEST, seed=seed))
+        assert log == [(k + outputs[3 * k + 2],) for k in range(count)]
 
     def test_unit_draws_are_top_53_bits(self):
-        a, b = SplitMix64(7), SplitMix64(7)
-        for _ in range(100):
-            u = a.next_unit()
-            assert u == (b.next_u64() >> 11) * 2.0**-53
-            assert 0.0 <= u < 1.0
+        # Outputs 1 and 2 at seed 0 decide loss and duplication of message 0;
+        # each threshold equal to its draw keeps the message, the next float
+        # above it does not, so the draw is exact and the comparison strict.
+        u1, u2 = ((out >> 11) * 2.0**-53 for out in (OUT1, OUT2))
+        assert transmit(["m"], ChannelConfig(loss_probability=u1))[1] == [(0,)]
+        assert transmit(["m"], ChannelConfig(loss_probability=math.nextafter(u1, 1)))[1] == [()]
+        assert transmit(["m"], ChannelConfig(duplication_probability=u2))[1] == [(0,)]
+        assert transmit(["m"], ChannelConfig(duplication_probability=math.nextafter(u2, 1)))[1] == [(0, 0)]
 
     def test_bounded_draw_is_modulo(self):
-        a, b = SplitMix64(9), SplitMix64(9)
-        for _ in range(100):
-            assert a.next_below(11) == b.next_u64() % 11
+        assert transmit(["m"], ChannelConfig(max_extra_delay=10))[1] == [(OUT3 % 11,)]
 
     def test_seed_wraps_to_64_bits(self):
-        assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+        wrapped, zero = (transmit(["m"] * 5, ChannelConfig(0.3, 0.3, WIDEST, seed)) for seed in (1 << 64, 0))
+        assert wrapped == zero
 
 
 class TestChannelConfig:
@@ -160,8 +169,8 @@ class TestTransmit:
 
     @given(
         st.integers(0, 300),
-        st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
-        st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+        st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53]) | st.floats(0, 1),
+        st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53]) | st.floats(0, 1),
         st.integers(0, 40) | st.just(10**12),
         st.integers(max_value=-1) | st.integers(0, MASK) | st.integers(min_value=1 << 64),
     )
